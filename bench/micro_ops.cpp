@@ -10,6 +10,7 @@
 #include "rio/heap.hpp"
 #include "sim/mem_bus.hpp"
 #include "util/crc32.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -96,6 +97,22 @@ void BM_DiffCopy(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_DiffCopy);
+
+// One counter bump with the instrument looked up by name each time (a
+// std::string built from a name past the 15-byte small-string buffer, the
+// registry's process-wide mutex, a map walk) against the same bump through a
+// handle resolved once. At 4 threads the by-name lookups queue on that one
+// mutex; the handle case then only shares the counter's cache line.
+void BM_MetricsCounterByName(benchmark::State& state) {
+  for (auto _ : state) metrics::counter("bench.micro_ops.by_name").add(1);
+}
+BENCHMARK(BM_MetricsCounterByName)->Threads(1)->Threads(4);
+
+void BM_MetricsCounterHandle(benchmark::State& state) {
+  static metrics::Counter& c = metrics::counter("bench.micro_ops.handle");
+  for (auto _ : state) c.add(1);
+}
+BENCHMARK(BM_MetricsCounterHandle)->Threads(1)->Threads(4);
 
 }  // namespace
 

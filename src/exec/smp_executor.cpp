@@ -277,9 +277,12 @@ SmpExecutor::Result SmpExecutor::run() {
   r.tps = r.seconds > 0 ? static_cast<double>(r.committed) / r.seconds : 0;
   for (const auto& part : partitions_) r.latch_contended += part->latch.contended();
   for (const auto& group : groups_) r.queue_full_waits += group->queue->full_waits();
-  metrics::counter("exec.smp.txns_committed").add(r.committed);
-  metrics::counter("exec.smp.latch_contended").add(r.latch_contended);
-  metrics::counter("exec.smp.queue_full_waits").add(r.queue_full_waits);
+  static metrics::Counter& txns_committed = metrics::counter("exec.smp.txns_committed");
+  txns_committed.add(r.committed);
+  static metrics::Counter& latch_contended = metrics::counter("exec.smp.latch_contended");
+  latch_contended.add(r.latch_contended);
+  static metrics::Counter& queue_full_waits = metrics::counter("exec.smp.queue_full_waits");
+  queue_full_waits.add(r.queue_full_waits);
   return r;
 }
 

@@ -163,7 +163,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // (dispatch + workload + replication stalls); feeds the per-run result
   // histogram and the process-wide registry timer.
   ExperimentResult result;
-  metrics::Timer& latency_timer = metrics::timer("harness.commit_latency_ns");
+  static metrics::Timer& latency_timer = metrics::timer("harness.commit_latency_ns");
   if (config.streams == 1) {
     Stream& st = *streams[0];
     sim::Cpu& cpu = primary.cpu(0);

@@ -27,6 +27,12 @@ T read_le(const std::uint8_t* p) {
   return v;
 }
 
+// Moved on accept and on both close paths; resolved on the first of them.
+metrics::Gauge& conns_open() {
+  static metrics::Gauge& g = metrics::gauge("net.async.conns_open");
+  return g;
+}
+
 }  // namespace
 
 AsyncServer::~AsyncServer() { stop(); }
@@ -81,7 +87,7 @@ void AsyncServer::stop() {
     // Same accounting as close_conn: the gauge must come back to zero even
     // for connections that were still open when the server shut down.
     stats_.conns_open.fetch_sub(1, std::memory_order_relaxed);
-    metrics::gauge("net.async.conns_open").add(-1);
+    conns_open().add(-1);
   }
   conns_.clear();
   by_fd_.clear();
@@ -148,7 +154,8 @@ void AsyncServer::accept_ready() {
         listen_rearm_at_ = std::chrono::steady_clock::now() +
                            std::chrono::milliseconds(options_.accept_backoff_ms);
         stats_.accept_overloads.fetch_add(1, std::memory_order_relaxed);
-        metrics::counter("net.async.accept_overloads").add(1);
+        static metrics::Counter& accept_overloads = metrics::counter("net.async.accept_overloads");
+        accept_overloads.add(1);
         return;
       }
       return;  // EAGAIN: drained
@@ -170,8 +177,9 @@ void AsyncServer::accept_ready() {
     by_fd_[fd] = id;
     stats_.accepted.fetch_add(1, std::memory_order_relaxed);
     stats_.conns_open.fetch_add(1, std::memory_order_relaxed);
-    metrics::counter("net.async.accepts").add(1);
-    metrics::gauge("net.async.conns_open").add(1);
+    static metrics::Counter& accepts = metrics::counter("net.async.accepts");
+    accepts.add(1);
+    conns_open().add(1);
   }
 }
 
@@ -205,7 +213,8 @@ bool AsyncServer::parse_frames(Conn& conn) {
       // Same rule as TcpTransport::recv: the length field cannot be
       // trusted, framing is lost for good — close the connection.
       stats_.conns_corrupt.fetch_add(1, std::memory_order_relaxed);
-      metrics::counter("net.async.corrupt_headers").add(1);
+      static metrics::Counter& corrupt_headers = metrics::counter("net.async.corrupt_headers");
+      corrupt_headers.add(1);
       return false;
     }
     if (conn.in.size() - consumed < sizeof hdr + hdr.len) break;  // partial frame
@@ -214,7 +223,8 @@ bool AsyncServer::parse_frames(Conn& conn) {
       // Payload corruption: the frame is whole, the stream stays aligned —
       // skip it (the client times out on the missing reply and retries).
       stats_.frames_skipped.fetch_add(1, std::memory_order_relaxed);
-      metrics::counter("net.async.corrupt_payloads").add(1);
+      static metrics::Counter& corrupt_payloads = metrics::counter("net.async.corrupt_payloads");
+      corrupt_payloads.add(1);
     } else {
       dispatch(conn, hdr.type, hdr.epoch, payload, hdr.len);
       if (conn.fd < 0) return true;  // dispatch closed the connection
@@ -259,12 +269,14 @@ void AsyncServer::handle_commit(Conn& conn, std::uint64_t epoch, const std::uint
   const std::uint64_t seq = shards_[shard].submit(key, payload + 16, len - 16);
   if (seq == 0) {
     stats_.commits_rejected.fetch_add(1, std::memory_order_relaxed);
-    metrics::counter("net.async.commits_rejected").add(1);
+    static metrics::Counter& commits_rejected = metrics::counter("net.async.commits_rejected");
+    commits_rejected.add(1);
     send_commit_reply(conn.id, op_id, epoch, 0, kRejectedOutcome);
     return;
   }
   stats_.commits_submitted.fetch_add(1, std::memory_order_relaxed);
-  metrics::counter("net.async.commits_submitted").add(1);
+  static metrics::Counter& commits_submitted = metrics::counter("net.async.commits_submitted");
+  commits_submitted.add(1);
   // 1-safe (or an already-covered window) resolves immediately; otherwise
   // the ticket parks until poll_acks advances the watermarks.
   const repl::RedoPipeline::TicketState state = shards_[shard].ticket_state(seq);
@@ -296,7 +308,8 @@ void AsyncServer::handle_read(Conn& conn, std::uint64_t epoch, const std::uint8_
   // Every replica lags min_seq: park and retry each tick until the
   // watermark catches up (read-your-writes) or patience runs out (bounce).
   stats_.reads_parked.fetch_add(1, std::memory_order_relaxed);
-  metrics::counter("net.async.reads_parked").add(1);
+  static metrics::Counter& reads_parked = metrics::counter("net.async.reads_parked");
+  reads_parked.add(1);
   parked_reads_.push_back(
       ParkedRead{conn.id, op_id, epoch, shard, off, rlen, min_seq,
                  std::chrono::steady_clock::now() +
@@ -318,7 +331,8 @@ bool AsyncServer::try_read(std::uint64_t conn_id, std::uint64_t op_id, std::uint
     switch (r.status) {
       case repl::RedoApplier::ReadStatus::kOk:
         stats_.reads_served.fetch_add(1, std::memory_order_relaxed);
-        metrics::counter("net.async.reads_served").add(1);
+        static metrics::Counter& reads_served = metrics::counter("net.async.reads_served");
+        reads_served.add(1);
         send_read_reply(conn_id, op_id, epoch, r.at_seq,
                         static_cast<std::uint8_t>(r.status), read_buf_.data(), len);
         return true;
@@ -378,7 +392,8 @@ void AsyncServer::tick() {
       best = std::max(best, replica.watermark());
     }
     stats_.reads_bounced.fetch_add(1, std::memory_order_relaxed);
-    metrics::counter("net.async.reads_bounced").add(1);
+    static metrics::Counter& reads_bounced = metrics::counter("net.async.reads_bounced");
+    reads_bounced.add(1);
     send_read_reply(pr.conn_id, pr.op_id, pr.epoch, best,
                     static_cast<std::uint8_t>(repl::RedoApplier::ReadStatus::kLagging),
                     nullptr, 0);
@@ -453,7 +468,7 @@ void AsyncServer::close_conn(Conn& conn) {
   by_fd_.erase(conn.fd);
   conn.fd = -1;
   stats_.conns_open.fetch_sub(1, std::memory_order_relaxed);
-  metrics::gauge("net.async.conns_open").add(-1);
+  conns_open().add(-1);
   // Do NOT conns_.erase here: dispatch/handle_commit/handle_read close mid
   // parse while parse_frames and conn_readable still hold the Conn& — the
   // object must outlive the whole call stack. Reaped in reap_dead().

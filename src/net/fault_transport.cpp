@@ -7,14 +7,6 @@
 
 namespace vrep::net {
 
-namespace {
-// Mirror of Stats in the process-wide registry so chaos runs show up in
-// --json snapshots alongside the transport/wire counters.
-void count_fault(const char* which) {
-  metrics::counter(std::string("net.fault.") + which).add(1);
-}
-}  // namespace
-
 FaultInjectingTransport::Fault FaultInjectingTransport::roll() {
   // One uniform draw per frame, carved into cumulative bands so the schedule
   // is a pure function of (seed, frame index) and at most one fault fires.
@@ -46,27 +38,35 @@ bool FaultInjectingTransport::send(MsgType type, std::uint64_t epoch, const void
       fault == Fault::kNone) {
     return inner_->send(type, epoch, payload, len);
   }
+  // Every fault also bumps its net.fault.* mirror in the process-wide
+  // registry, so chaos runs show up in --json snapshots.
   switch (fault) {
-    case Fault::kDrop:
+    case Fault::kDrop: {
+      static metrics::Counter& drops = metrics::counter("net.fault.drops");
       stats_.drops++;
-      count_fault("drops");
+      drops.add(1);
       return true;  // swallowed: the sender believes it went out
+    }
     case Fault::kDelay: {
+      static metrics::Counter& delays = metrics::counter("net.fault.delays");
       stats_.delays++;
-      count_fault("delays");
+      delays.add(1);
       const auto us = static_cast<useconds_t>(
           rng_.below(static_cast<std::uint64_t>(plan_.max_delay_us) + 1));
       ::usleep(us);
       return inner_->send(type, epoch, payload, len);
     }
-    case Fault::kDuplicate:
+    case Fault::kDuplicate: {
+      static metrics::Counter& duplicates = metrics::counter("net.fault.duplicates");
       stats_.duplicates++;
-      count_fault("duplicates");
+      duplicates.add(1);
       if (!inner_->send(type, epoch, payload, len)) return false;
       return inner_->send(type, epoch, payload, len);
+    }
     case Fault::kBitflip: {
+      static metrics::Counter& bitflips = metrics::counter("net.fault.bitflips");
       stats_.bitflips++;
-      count_fault("bitflips");
+      bitflips.add(1);
       auto frame = encode_frame(type, epoch, payload, len);
       const std::uint64_t bit = rng_.below(frame.size() * 8);
       frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
@@ -75,19 +75,22 @@ bool FaultInjectingTransport::send(MsgType type, std::uint64_t epoch, const void
     case Fault::kTruncate: {
       // Torn frame: ship a strict prefix, then die mid-stream. The receiver
       // must report kClosed (or kCorrupt) without applying the partial batch.
+      static metrics::Counter& truncations = metrics::counter("net.fault.truncations");
       stats_.truncations++;
-      count_fault("truncations");
+      truncations.add(1);
       const auto frame = encode_frame(type, epoch, payload, len);
       const std::size_t cut = 1 + rng_.below(frame.size() - 1);
       inner_->send_bytes(frame.data(), cut);
       inner_->close_peer();
       return false;
     }
-    case Fault::kDisconnect:
+    case Fault::kDisconnect: {
+      static metrics::Counter& disconnects = metrics::counter("net.fault.disconnects");
       stats_.disconnects++;
-      count_fault("disconnects");
+      disconnects.add(1);
       inner_->close_peer();
       return false;
+    }
     case Fault::kNone:
       break;
   }

@@ -20,7 +20,8 @@ void InprocTransport::pair(InprocTransport& a, InprocTransport& b) {
   b.in_ = a_to_b;
   a.error_ = TransportError::kNone;
   b.error_ = TransportError::kNone;
-  metrics::counter("net.transport.inproc_pairs").add(1);
+  static metrics::Counter& inproc_pairs = metrics::counter("net.transport.inproc_pairs");
+  inproc_pairs.add(1);
 }
 
 bool InprocTransport::connected() const {
@@ -108,7 +109,8 @@ std::optional<Message> InprocTransport::recv(int timeout_ms) {
     // Same rule as TcpTransport: the length field cannot be trusted, framing
     // is lost for good. Close so the protocol layer resyncs via rejoin.
     error_ = TransportError::kCorrupt;
-    metrics::counter("net.transport.corrupt_headers").add(1);
+    static metrics::Counter& corrupt_headers = metrics::counter("net.transport.corrupt_headers");
+    corrupt_headers.add(1);
     close_peer();
     return std::nullopt;
   }
@@ -120,7 +122,8 @@ std::optional<Message> InprocTransport::recv(int timeout_ms) {
   if (Crc32::of(msg.payload.data(), msg.payload.size()) != hdr.payload_crc) {
     // Payload consumed in full: the stream stays aligned, skip in-band.
     error_ = TransportError::kCorrupt;
-    metrics::counter("net.transport.corrupt_payloads").add(1);
+    static metrics::Counter& corrupt_payloads = metrics::counter("net.transport.corrupt_payloads");
+    corrupt_payloads.add(1);
     return std::nullopt;
   }
   static metrics::Counter& frames = metrics::counter("net.transport.frames_received");

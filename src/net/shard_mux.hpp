@@ -149,14 +149,15 @@ class ShardChannel {
         // carrier's memory O(lanes * capacity). The lane's stream repairs
         // the gap in-band, same as after a corrupt payload.
         inbox_dropped_ += 1;
-        metrics::counter("net.shard_mux.inbox_dropped").add(1);
+        static metrics::Counter& inbox_dropped = metrics::counter("net.shard_mux.inbox_dropped");
+        inbox_dropped.add(1);
         continue;
       }
       other.inbox_.push_back(std::move(*raw));
       if (other.inbox_.size() > inbox_highwater_) {
         inbox_highwater_ = other.inbox_.size();
-        metrics::gauge("net.shard_mux.inbox_highwater")
-            .update_max(static_cast<std::int64_t>(inbox_highwater_));
+        static metrics::Gauge& inbox_highwater = metrics::gauge("net.shard_mux.inbox_highwater");
+        inbox_highwater.update_max(static_cast<std::int64_t>(inbox_highwater_));
       }
     }
   }

@@ -27,6 +27,27 @@ TcpTransport::~TcpTransport() {
 }
 
 void TcpTransport::close_peer() {
+  if (fd_ < 0) return;
+  // Lingering close. A socket closed with unread bytes in its receive queue,
+  // or one the peer's bytes reach after close() (its acks for frames it has
+  // not consumed yet), is answered with RST, and an RST discards everything
+  // the peer has not read yet: the tail of our frames. So half-close first
+  // (the peer reads all our bytes, then EOF), then read and discard until
+  // the peer closes too or stays quiet, bounded so a chattering peer cannot
+  // hold us here.
+  constexpr int kQuietMs = 20;
+  constexpr auto kMaxLinger = std::chrono::milliseconds(250);
+  ::shutdown(fd_, SHUT_WR);
+  const auto give_up = std::chrono::steady_clock::now() + kMaxLinger;
+  std::uint8_t sink[4096];
+  pollfd pfd{fd_, POLLIN, 0};
+  while (std::chrono::steady_clock::now() < give_up && ::poll(&pfd, 1, kQuietMs) > 0 &&
+         ::recv(fd_, sink, sizeof sink, 0) > 0) {
+  }
+  drop_peer();
+}
+
+void TcpTransport::drop_peer() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -90,7 +111,8 @@ bool TcpTransport::accept_peer(int timeout_ms) {
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   error_ = Error::kNone;
-  metrics::counter("net.transport.accepts").add(1);
+  static metrics::Counter& accepts = metrics::counter("net.transport.accepts");
+  accepts.add(1);
   return true;
 }
 
@@ -121,7 +143,7 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
                               deadline - std::chrono::steady_clock::now())
                               .count();
         if (left <= 0) {
-          close_peer();
+          drop_peer();
           error_ = Error::kTimeout;
           return false;
         }
@@ -130,12 +152,12 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
                                               left, 0, std::numeric_limits<int>::max())));
         if (ready < 0) {
           if (errno == EINTR) continue;
-          close_peer();
+          drop_peer();
           error_ = Error::kClosed;
           return false;
         }
         if (ready == 0) {  // budget spent mid-handshake (blackholed peer)
-          close_peer();
+          drop_peer();
           error_ = Error::kTimeout;
           return false;
         }
@@ -154,7 +176,8 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
       const int one = 1;
       ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
       error_ = Error::kNone;
-      metrics::counter("net.transport.connects").add(1);
+      static metrics::Counter& connects = metrics::counter("net.transport.connects");
+      connects.add(1);
       return true;
     }
     ::close(fd_);
@@ -312,8 +335,9 @@ std::optional<Message> TcpTransport::recv(int timeout_ms) {
     // The length field cannot be trusted: framing is lost for good. Close so
     // the peer reconnects and the protocol layer resyncs via rejoin.
     error_ = Error::kCorrupt;
-    metrics::counter("net.transport.corrupt_headers").add(1);
-    close_peer();
+    static metrics::Counter& corrupt_headers = metrics::counter("net.transport.corrupt_headers");
+    corrupt_headers.add(1);
+    drop_peer();
     return std::nullopt;
   }
   Message msg;
@@ -325,7 +349,8 @@ std::optional<Message> TcpTransport::recv(int timeout_ms) {
     // Payload bytes were consumed in full, so the stream stays aligned; the
     // receiver may skip this frame and resynchronise in-band.
     error_ = Error::kCorrupt;
-    metrics::counter("net.transport.corrupt_payloads").add(1);
+    static metrics::Counter& corrupt_payloads = metrics::counter("net.transport.corrupt_payloads");
+    corrupt_payloads.add(1);
     return std::nullopt;
   }
   static metrics::Counter& frames = metrics::counter("net.transport.frames_received");

@@ -113,6 +113,8 @@ class TcpTransport final : public Transport {
   bool connect_to(const std::string& host, std::uint16_t port, int timeout_ms = 10'000);
 
   bool connected() const override { return fd_ >= 0; }
+  // Lingering close: the peer still reads every byte we sent. Returns once
+  // the peer has closed too or stayed quiet for 20 ms, within 250 ms.
   void close_peer() override;
 
   bool send(MsgType type, std::uint64_t epoch, const void* payload,
@@ -132,6 +134,9 @@ class TcpTransport final : public Transport {
   // payload reads so the whole frame is bounded by a single budget.
   bool read_fully(void* buf, std::size_t len,
                   const std::optional<std::chrono::steady_clock::time_point>& deadline);
+  // Close at once, without close_peer()'s linger: for a connect that never
+  // completed (its deadline must hold) or a stream whose framing is lost.
+  void drop_peer();
   int listen_fd_ = -1;
   int fd_ = -1;
   std::uint16_t port_ = 0;

@@ -130,7 +130,8 @@ std::unique_ptr<core::TransactionStore> WireBackup::promote(sim::MemBus& bus,
                                                             rio::Arena& new_arena,
                                                             const core::StoreConfig& config) {
   VREP_CHECK(config.db_size == applier_.db_size());
-  metrics::counter("repl.backup.takeovers").add(1);
+  static metrics::Counter& takeovers = metrics::counter("repl.backup.takeovers");
+  takeovers.add(1);
   auto store = std::make_unique<core::InlineLogStore>(bus, new_arena, config, /*format=*/true);
   std::memcpy(store->db(), arena_->data(), applier_.db_size());
   // Continue the replicated sequence numbering: rejoin deltas, and any

@@ -177,7 +177,8 @@ sim::SimTime ActiveBackup::next_visibility_after(sim::SimTime t) const {
 }
 
 std::uint64_t ActiveBackup::takeover(sim::SimTime crash_time) {
-  metrics::counter("repl.backup.takeovers").add(1);
+  static metrics::Counter& takeovers = metrics::counter("repl.backup.takeovers");
+  takeovers.add(1);
   fabric_->crash_at(crash_time);
   cpu_->clock().advance_to(crash_time);
   while (try_apply_one()) {

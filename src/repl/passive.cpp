@@ -10,7 +10,9 @@ void setup_passive_replication(core::TransactionStore& store, rio::Arena& primar
   VREP_CHECK(backup_arena.size() >= primary_arena.size());
   for (const core::StoreRegion& region : store.regions()) {
     if (!region.replicate_passive && !ship_everything) continue;
-    metrics::counter("repl.passive.regions_replicated").add(1);
+    static metrics::Counter& regions_replicated =
+        metrics::counter("repl.passive.regions_replicated");
+    regions_replicated.add(1);
     store.bus().replicate_region(primary_arena.data() + region.offset,
                                  backup_arena.data() + region.offset);
   }
@@ -20,7 +22,8 @@ std::unique_ptr<core::TransactionStore> passive_takeover(core::VersionKind kind,
                                                          const core::StoreConfig& config,
                                                          sim::MemBus& backup_bus,
                                                          rio::Arena& backup_arena) {
-  metrics::counter("repl.passive.takeovers").add(1);
+  static metrics::Counter& takeovers = metrics::counter("repl.passive.takeovers");
+  takeovers.add(1);
   auto store = core::make_store(kind, backup_bus, backup_arena, config, /*format=*/false);
   store->takeover();
   return store;

@@ -27,6 +27,29 @@ void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.resize(at + 4);
   std::memcpy(out.data() + at, &v, 4);
 }
+
+// Applier counters bumped from several sites. Each resolves its name on the
+// first bump, like the single-site statics elsewhere in this file.
+metrics::Counter& duplicates_ignored() {
+  static metrics::Counter& c = metrics::counter("repl.backup.duplicates_ignored");
+  return c;
+}
+metrics::Counter& gaps_detected() {
+  static metrics::Counter& c = metrics::counter("repl.backup.gaps_detected");
+  return c;
+}
+metrics::Counter& batches_applied() {
+  static metrics::Counter& c = metrics::counter("repl.backup.batches_applied");
+  return c;
+}
+metrics::Counter& corrupt_skipped() {
+  static metrics::Counter& c = metrics::counter("repl.backup.corrupt_skipped");
+  return c;
+}
+metrics::Counter& resyncs() {
+  static metrics::Counter& c = metrics::counter("repl.backup.resyncs");
+  return c;
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -175,7 +198,8 @@ void RedoPipeline::recompute_quorum_acked() {
   // acknowledged by at least `quorum_` peers. This full scan runs only when
   // an ack advances or the peer table / quorum changes; every other query
   // reads the cache (repl.primary.quorum_scans counts the scans).
-  metrics::counter("repl.primary.quorum_scans").add(1);
+  static metrics::Counter& quorum_scans = metrics::counter("repl.primary.quorum_scans");
+  quorum_scans.add(1);
   if (peers_.size() < quorum_) {
     quorum_acked_cache_ = 0;
     return;
@@ -241,7 +265,8 @@ void RedoPipeline::fence(std::uint64_t newer_epoch) {
   fenced_ = true;
   fenced_by_epoch_ = newer_epoch;
   for (PeerSlot& p : peers_) p.alive = false;
-  metrics::counter("repl.primary.fenced").add(1);
+  static metrics::Counter& fenced = metrics::counter("repl.primary.fenced");
+  fenced.add(1);
 }
 
 void RedoPipeline::on_control_frame(PeerSlot& peer, const Frame& frame) {
@@ -373,13 +398,13 @@ void RedoPipeline::wait_covered(std::uint64_t target) {
     if (!any_waiting) break;
   }
   const std::optional<std::uint64_t> virt1 = virtual_wait();
-  metrics::counter("repl.primary.commit_wait_ns")
-      .add(virt1.has_value()
-               ? *virt1 - virt0.value_or(0)
-               : static_cast<std::uint64_t>(
-                     std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count()));
+  static metrics::Counter& commit_wait_ns = metrics::counter("repl.primary.commit_wait_ns");
+  commit_wait_ns.add(virt1.has_value()
+                         ? *virt1 - virt0.value_or(0)
+                         : static_cast<std::uint64_t>(
+                               std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count()));
   // Coverage unreachable (peers dead/silent or we were fenced): resolve
   // every outstanding ticket now instead of leaving the window dangling.
   if (quorum_acked_cache_ < target) note_degraded();
@@ -395,7 +420,8 @@ void RedoPipeline::note_degraded() {
   const std::uint64_t newly = last_ticket_seq_ - resolved;
   degraded_upto_ = last_ticket_seq_;
   stats_.two_safe_degraded += newly;
-  metrics::counter("repl.primary.two_safe_degraded").add(newly);
+  static metrics::Counter& two_safe_degraded = metrics::counter("repl.primary.two_safe_degraded");
+  two_safe_degraded.add(newly);
 }
 
 void RedoPipeline::push_history(std::uint64_t seq) {
@@ -462,7 +488,8 @@ void RedoPipeline::complete_checkpoint(std::uint64_t seq) {
   ckpt_page_seq_ = page_seq_;
   ckpt_anchor_ = seq;
   stats_.checkpoints_completed++;
-  metrics::counter("repl.primary.checkpoints").add(1);
+  static metrics::Counter& checkpoints = metrics::counter("repl.primary.checkpoints");
+  checkpoints.add(1);
   // Truncate redo history at the watermark: everything at or below it is now
   // reachable through checkpoint+delta, so dropping it cannot push a
   // checkpoint-covered laggard off a full-image cliff.
@@ -473,7 +500,9 @@ void RedoPipeline::complete_checkpoint(std::uint64_t seq) {
   }
   history_bytes_ -= truncated;
   stats_.redo_truncated_bytes += truncated;
-  metrics::counter("repl.primary.redo_truncated_bytes").add(truncated);
+  static metrics::Counter& redo_truncated_bytes =
+      metrics::counter("repl.primary.redo_truncated_bytes");
+  redo_truncated_bytes.add(truncated);
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> RedoPipeline::checkpoint_delta_runs(
@@ -534,7 +563,9 @@ bool RedoPipeline::serve_checkpoint_delta(PeerSlot& peer, std::uint64_t backup_s
     peer.alive = false;
     return false;
   }
-  metrics::counter("repl.primary.checkpoint_bytes_shipped").add(shipped_bytes);
+  static metrics::Counter& checkpoint_bytes_shipped =
+      metrics::counter("repl.primary.checkpoint_bytes_shipped");
+  checkpoint_bytes_shipped.add(shipped_bytes);
   peer.alive = true;
   return true;
 }
@@ -575,16 +606,18 @@ void RedoPipeline::ship_group() {
   shipped_seq_ = pending_group_.back().seq;
   if (shipped) {
     stats_.txns_shipped += count;
-    metrics::counter("repl.primary.txns_shipped").add(count);
+    static metrics::Counter& txns_shipped = metrics::counter("repl.primary.txns_shipped");
+    txns_shipped.add(count);
   }
   for (PeerSlot& p : peers_) {
     if (p.alive) drain(p);
   }
-  metrics::timer("repl.primary.group_size").record(count);
+  static metrics::Timer& group_size = metrics::timer("repl.primary.group_size");
+  group_size.record(count);
   const std::uint64_t in_flight =
       shipped_seq_ - std::min(shipped_seq_, quorum_acked_cache_);
-  metrics::gauge("repl.primary.inflight_window")
-      .update_max(static_cast<std::int64_t>(in_flight));
+  static metrics::Gauge& inflight_window = metrics::gauge("repl.primary.inflight_window");
+  inflight_window.update_max(static_cast<std::int64_t>(in_flight));
   pending_group_.clear();
 }
 
@@ -807,7 +840,8 @@ RedoPipeline::CommitTicket RedoPipeline::prepare_cross(std::uint64_t seq, std::u
   shipped_seq_ = seq;
   last_ticket_seq_ = seq;
   stats_.prepares_shipped++;
-  metrics::counter("repl.primary.prepares_shipped").add(1);
+  static metrics::Counter& prepares_shipped = metrics::counter("repl.primary.prepares_shipped");
+  prepares_shipped.add(1);
   in_doubt_.emplace(xid, InDoubtTxn{seq, std::move(batch_)});
   batch_.clear();
   for (PeerSlot& p : peers_) {
@@ -842,7 +876,8 @@ bool RedoPipeline::decide_cross(std::uint64_t xid, bool commit) {
     if (!link_send(p, FrameKind::kXDecide, payload, sizeof payload)) p.alive = false;
   }
   stats_.decides_shipped++;
-  metrics::counter("repl.primary.decides_shipped").add(1);
+  static metrics::Counter& decides_shipped = metrics::counter("repl.primary.decides_shipped");
+  decides_shipped.add(1);
   if (commit) {
     insert_history(it->second.seq, std::move(it->second.batch));
   } else {
@@ -946,13 +981,15 @@ bool RedoPipeline::serve_rejoin(PeerSlot& peer, std::uint64_t backup_seq, std::u
   }
   stats_.rejoins_served++;
   peer.rejoins_served++;
-  metrics::counter("repl.primary.rejoins_served").add(1);
+  static metrics::Counter& rejoins_served = metrics::counter("repl.primary.rejoins_served");
+  rejoins_served.add(1);
   const RejoinDecision decision = decide_rejoin(backup_seq, state_epoch);
   if (decision == RejoinDecision::kFullImage) {
     // Genuine last resort: neither the history nor a checkpoint could repair
     // the gap.
     stats_.full_syncs_served++;
-    metrics::counter("repl.primary.full_syncs_served").add(1);
+    static metrics::Counter& full_syncs_served = metrics::counter("repl.primary.full_syncs_served");
+    full_syncs_served.add(1);
     return sync_peer(peer);
   }
   std::uint64_t replay_from = backup_seq;
@@ -960,10 +997,13 @@ bool RedoPipeline::serve_rejoin(PeerSlot& peer, std::uint64_t backup_seq, std::u
     if (!serve_checkpoint_delta(peer, backup_seq)) return false;
     replay_from = ckpt_.seq;
     stats_.checkpoint_deltas_served++;
-    metrics::counter("repl.primary.checkpoint_deltas_served").add(1);
+    static metrics::Counter& checkpoint_deltas_served =
+        metrics::counter("repl.primary.checkpoint_deltas_served");
+    checkpoint_deltas_served.add(1);
   } else {
     stats_.deltas_served++;
-    metrics::counter("repl.primary.deltas_served").add(1);
+    static metrics::Counter& deltas_served = metrics::counter("repl.primary.deltas_served");
+    deltas_served.add(1);
   }
   const std::uint64_t committed = source_.committed_seq();
   VREP_CHECK(committed >= replay_from);  // decide_rejoin clamped claimed-future
@@ -1067,7 +1107,7 @@ void RedoApplier::maybe_request_resync(ReplicationLink& link) {
 
 void RedoApplier::note_corrupt_skipped(ReplicationLink& link) {
   stats_.corrupt_skipped++;
-  metrics::counter("repl.backup.corrupt_skipped").add(1);
+  corrupt_skipped().add(1);
   maybe_request_resync(link);
 }
 
@@ -1080,17 +1120,20 @@ RedoApplier::ReadResult RedoApplier::read_at_watermark(std::uint64_t off, std::u
     // Read-your-writes bounce: this replica has not yet applied the
     // client's own commit. at_seq tells the caller how far behind it is.
     result.status = ReadStatus::kLagging;
-    metrics::counter("repl.backup.reads_bounced").add(1);
+    static metrics::Counter& reads_bounced = metrics::counter("repl.backup.reads_bounced");
+    reads_bounced.add(1);
     return result;
   }
   if (!image_complete() || off > db_size_ || len > db_size_ - off) {
     result.status = ReadStatus::kOutOfBounds;
-    metrics::counter("repl.backup.reads_oob").add(1);
+    static metrics::Counter& reads_oob = metrics::counter("repl.backup.reads_oob");
+    reads_oob.add(1);
     return result;
   }
   if (len != 0) std::memcpy(out, target_.data() + off, len);
   result.status = ReadStatus::kOk;
-  metrics::counter("repl.backup.reads_served").add(1);
+  static metrics::Counter& reads_served = metrics::counter("repl.backup.reads_served");
+  reads_served.add(1);
   return result;
 }
 
@@ -1102,7 +1145,8 @@ void RedoApplier::clear_checkpoint_install() {
 void RedoApplier::abort_checkpoint_install(ReplicationLink& link) {
   clear_checkpoint_install();
   stats_.checkpoint_aborts++;
-  metrics::counter("repl.backup.checkpoint_aborts").add(1);
+  static metrics::Counter& checkpoint_aborts = metrics::counter("repl.backup.checkpoint_aborts");
+  checkpoint_aborts.add(1);
   // The replica image was never touched (chunks only buffer until the End
   // CRC verifies), so re-requesting from our real sequence is always safe.
   awaiting_resync_ = false;
@@ -1123,7 +1167,7 @@ void RedoApplier::on_ckpt_begin(const Frame& frame, ReplicationLink& link) {
   if (seq <= applied_seq_) {
     // A replayed install start for state we already hold (duplicate fault).
     stats_.duplicates_ignored++;
-    metrics::counter("repl.backup.duplicates_ignored").add(1);
+    duplicates_ignored().add(1);
     return;
   }
   if (!image_complete() || size != db_size_) {
@@ -1148,7 +1192,7 @@ void RedoApplier::on_ckpt_chunk(const Frame& frame, ReplicationLink& link) {
     // Begin lost (or install already aborted): the chunk is unanchored.
     // The End — or the next heartbeat — drives the re-request.
     stats_.duplicates_ignored++;
-    metrics::counter("repl.backup.duplicates_ignored").add(1);
+    duplicates_ignored().add(1);
     return;
   }
   if (frame.payload.size() < 8) {
@@ -1183,7 +1227,7 @@ void RedoApplier::on_ckpt_end(const Frame& frame, ReplicationLink& link) {
     if (seq <= applied_seq_) {
       // Duplicate End after a completed install.
       stats_.duplicates_ignored++;
-      metrics::counter("repl.backup.duplicates_ignored").add(1);
+      duplicates_ignored().add(1);
       return;
     }
     // The Begin never arrived: nothing buffered, re-request cleanly.
@@ -1244,7 +1288,9 @@ void RedoApplier::on_ckpt_end(const Frame& frame, ReplicationLink& link) {
   clear_checkpoint_install();
   awaiting_resync_ = false;
   stats_.checkpoint_installs++;
-  metrics::counter("repl.backup.checkpoint_installs").add(1);
+  static metrics::Counter& checkpoint_installs =
+      metrics::counter("repl.backup.checkpoint_installs");
+  checkpoint_installs.add(1);
   link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
 }
 
@@ -1270,12 +1316,12 @@ bool RedoApplier::apply_decoded(std::uint64_t first_seq, std::uint64_t last_seq,
   VREP_CHECK(first_seq <= last_seq);
   if (last_seq <= applied_seq_) {
     stats_.duplicates_ignored++;  // duplicate, replay, or stale ring lap
-    metrics::counter("repl.backup.duplicates_ignored").add(1);
+    duplicates_ignored().add(1);
     return false;
   }
   if (first_seq != applied_seq_ + 1) {
     stats_.gaps_detected++;
-    metrics::counter("repl.backup.gaps_detected").add(1);
+    gaps_detected().add(1);
     return false;
   }
   // The carrier guaranteed the group arrived whole (ring group checksum /
@@ -1288,7 +1334,7 @@ bool RedoApplier::apply_decoded(std::uint64_t first_seq, std::uint64_t last_seq,
   state_epoch_ = epoch;
   const std::uint64_t applied = last_seq - first_seq + 1;
   stats_.batches_applied += applied;
-  metrics::counter("repl.backup.batches_applied").add(applied);
+  batches_applied().add(applied);
   return true;
 }
 
@@ -1312,14 +1358,14 @@ void RedoApplier::on_group_frame(const Frame& frame, ReplicationLink& link) {
   const std::uint64_t last = first + group.count() - 1;
   if (last <= applied_seq_) {
     stats_.duplicates_ignored++;  // whole group replayed (duplicate fault)
-    metrics::counter("repl.backup.duplicates_ignored").add(1);
+    duplicates_ignored().add(1);
     return;
   }
   if (first > applied_seq_ + 1) {
     // A frame before this group went missing: resync from the last good
     // sequence instead of applying on top of a hole.
     stats_.gaps_detected++;
-    metrics::counter("repl.backup.gaps_detected").add(1);
+    gaps_detected().add(1);
     maybe_request_resync(link);
     return;
   }
@@ -1335,7 +1381,7 @@ void RedoApplier::on_group_frame(const Frame& frame, ReplicationLink& link) {
   } while (group.next(&sub, &sub_len));
   state_epoch_ = frame.epoch;
   stats_.batches_applied += applied;
-  metrics::counter("repl.backup.batches_applied").add(applied);
+  batches_applied().add(applied);
   // One ack per group frame: the primary's in-flight window drains at group
   // granularity, so per-group acks are what keep it moving.
   link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
@@ -1364,14 +1410,14 @@ void RedoApplier::on_prepare_frame(const Frame& frame, ReplicationLink& link) {
   const std::uint64_t seq = batch_seq(batch);
   if (seq <= applied_seq_) {
     stats_.duplicates_ignored++;  // prepare replay (duplicate fault)
-    metrics::counter("repl.backup.duplicates_ignored").add(1);
+    duplicates_ignored().add(1);
     // Still ack: the coordinator blocks on coverage of this sequence.
     link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
     return;
   }
   if (seq != applied_seq_ + 1) {
     stats_.gaps_detected++;
-    metrics::counter("repl.backup.gaps_detected").add(1);
+    gaps_detected().add(1);
     maybe_request_resync(link);
     return;
   }
@@ -1382,7 +1428,8 @@ void RedoApplier::on_prepare_frame(const Frame& frame, ReplicationLink& link) {
   applied_seq_ = seq;
   state_epoch_ = frame.epoch;
   stats_.prepares_buffered++;
-  metrics::counter("repl.backup.prepares_buffered").add(1);
+  static metrics::Counter& prepares_buffered = metrics::counter("repl.backup.prepares_buffered");
+  prepares_buffered.add(1);
   // Ack every prepare immediately: the coordinator's phase-1 durability wait
   // rides on it, and prepares are rare enough that batching buys nothing.
   link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
@@ -1391,14 +1438,14 @@ void RedoApplier::on_prepare_frame(const Frame& frame, ReplicationLink& link) {
 void RedoApplier::on_decide_frame(const Frame& frame) {
   if (frame.payload.size() != 9) {
     stats_.corrupt_skipped++;
-    metrics::counter("repl.backup.corrupt_skipped").add(1);
+    corrupt_skipped().add(1);
     return;
   }
   std::uint64_t xid;
   std::memcpy(&xid, frame.payload.data(), 8);
   if (!resolve_in_doubt(xid, frame.payload[8] != 0)) {
     stats_.duplicates_ignored++;  // decision replay after resolution
-    metrics::counter("repl.backup.duplicates_ignored").add(1);
+    duplicates_ignored().add(1);
   }
 }
 
@@ -1419,10 +1466,12 @@ bool RedoApplier::resolve_in_doubt(std::uint64_t xid, bool commit) {
     RedoChunk chunk;
     while (reader.next(&chunk)) target_.write(chunk.db_off, chunk.data, chunk.len);
     stats_.decides_committed++;
-    metrics::counter("repl.backup.decides_committed").add(1);
+    static metrics::Counter& decides_committed = metrics::counter("repl.backup.decides_committed");
+    decides_committed.add(1);
   } else {
     stats_.decides_aborted++;
-    metrics::counter("repl.backup.decides_aborted").add(1);
+    static metrics::Counter& decides_aborted = metrics::counter("repl.backup.decides_aborted");
+    decides_aborted.add(1);
   }
   in_doubt_.erase(it);
   return true;
@@ -1435,7 +1484,8 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
       // Stale-epoch traffic — a fenced old primary still shipping. Drop it
       // and tell the sender which epoch rules now.
       stats_.stale_fenced++;
-      metrics::counter("repl.backup.stale_fenced").add(1);
+      static metrics::Counter& stale_fenced = metrics::counter("repl.backup.stale_fenced");
+      stale_fenced.add(1);
       link.send(FrameKind::kEpochFence, cur, &cur, 8);
       return FrameResult::kOk;
     }
@@ -1474,14 +1524,14 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
       const std::size_t len = frame.payload.size() - 8;
       if (off < image_next_off_) {
         stats_.duplicates_ignored++;  // replayed chunk (duplicate fault)
-        metrics::counter("repl.backup.duplicates_ignored").add(1);
+        duplicates_ignored().add(1);
         break;
       }
       if (off > image_next_off_) {
         // A chunk went missing: the image has a hole only a fresh full
         // sync can fill.
         stats_.gaps_detected++;
-        metrics::counter("repl.backup.gaps_detected").add(1);
+        gaps_detected().add(1);
         maybe_request_resync(link);
         break;
       }
@@ -1491,7 +1541,7 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
       if (image_complete() && awaiting_resync_) {
         awaiting_resync_ = false;
         stats_.resyncs++;
-        metrics::counter("repl.backup.resyncs").add(1);
+        resyncs().add(1);
       }
       break;
     }
@@ -1509,7 +1559,7 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
       const std::uint64_t seq = batch_seq(frame.payload.data());
       if (seq <= applied_seq_) {
         stats_.duplicates_ignored++;  // duplicate fault or delta overlap
-        metrics::counter("repl.backup.duplicates_ignored").add(1);
+        duplicates_ignored().add(1);
         break;
       }
       if (seq == applied_seq_ + 1) {
@@ -1518,7 +1568,7 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
           break;
         }
         stats_.batches_applied++;
-        metrics::counter("repl.backup.batches_applied").add(1);
+        batches_applied().add(1);
         state_epoch_ = frame.epoch;
         // Acknowledge periodically (flow control / monitoring); per-batch
         // acks would just pressure the primary's receive buffer.
@@ -1530,7 +1580,7 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
       // Sequence gap: a batch was dropped or skipped as corrupt. Resync
       // from the last good sequence instead of giving up.
       stats_.gaps_detected++;
-      metrics::counter("repl.backup.gaps_detected").add(1);
+      gaps_detected().add(1);
       maybe_request_resync(link);
       break;
     }
@@ -1547,7 +1597,7 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
         // already hold are ignored as duplicates.
         awaiting_resync_ = false;
         stats_.resyncs++;
-        metrics::counter("repl.backup.resyncs").add(1);
+        resyncs().add(1);
       } else {
         // Unusable delta (should not happen): re-request from where we
         // actually are. A half-buffered install died with the serve that
@@ -1586,7 +1636,7 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
             break;
           }
           stats_.gaps_detected++;
-          metrics::counter("repl.backup.gaps_detected").add(1);
+          gaps_detected().add(1);
           // Heartbeats double as the resync retry timer: if a previous
           // request (or the delta answering it) was itself lost, re-arm
           // instead of waiting forever on a reply that will never come.
@@ -1612,7 +1662,7 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
     default:
       // Unknown frame type with valid CRCs: version skew. Skip it.
       stats_.corrupt_skipped++;
-      metrics::counter("repl.backup.corrupt_skipped").add(1);
+      corrupt_skipped().add(1);
       break;
   }
   return FrameResult::kOk;

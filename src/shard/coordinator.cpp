@@ -53,7 +53,8 @@ CrossShardCoordinator::Outcome CrossShardCoordinator::commit(
     out.remote_seqs.push_back(seq);
   }
   out.prepared = true;
-  metrics::counter("shard.coord.prepares").add(remotes.size());
+  static metrics::Counter& prepares = metrics::counter("shard.coord.prepares");
+  prepares.add(remotes.size());
 
   ShardId dead = kNoKill;
   if (chaos) dead = chaos(Phase::kAfterPrepare, xid);
@@ -66,7 +67,8 @@ CrossShardCoordinator::Outcome CrossShardCoordinator::commit(
       r.shard.pipeline->decide_cross(xid, false);
       out.decided.push_back(r.shard.id);
     }
-    metrics::counter("shard.coord.aborts").add(1);
+    static metrics::Counter& aborts = metrics::counter("shard.coord.aborts");
+    aborts.add(1);
     for (auto it = latches.rbegin(); it != latches.rend(); ++it) (*it)->unlock();
     return out;
   }
@@ -109,7 +111,8 @@ CrossShardCoordinator::Outcome CrossShardCoordinator::commit(
     r.shard.pipeline->decide_cross(xid, true);
     out.decided.push_back(r.shard.id);
   }
-  metrics::counter("shard.coord.commits").add(1);
+  static metrics::Counter& commits = metrics::counter("shard.coord.commits");
+  commits.add(1);
 
   for (auto it = latches.rbegin(); it != latches.rend(); ++it) (*it)->unlock();
   return out;

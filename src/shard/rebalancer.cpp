@@ -74,7 +74,8 @@ void Rebalancer::begin(const ShardMap& target) {
     cluster_.migration_ = std::move(migration);
   }
   for (unsigned i = n; i-- > 0;) cluster_.shard_latch(i).unlock();
-  metrics::counter("shard.rebalance.migrations").add(1);
+  static metrics::Counter& migrations = metrics::counter("shard.rebalance.migrations");
+  migrations.add(1);
 }
 
 std::uint64_t Rebalancer::begin_split(ShardId shard, std::uint64_t at_hash) {
@@ -177,7 +178,8 @@ bool Rebalancer::step() {
     cluster_.rb_records_moved_.fetch_add(moved, std::memory_order_relaxed);
     cluster_.rb_bytes_moved_.fetch_add(moved * sizeof(std::int32_t),
                                        std::memory_order_relaxed);
-    metrics::counter("shard.rebalance.bytes_moved").add(moved * sizeof(std::int32_t));
+    static metrics::Counter& bytes_moved = metrics::counter("shard.rebalance.bytes_moved");
+    bytes_moved.add(moved * sizeof(std::int32_t));
     return w;
   };
 
@@ -191,7 +193,8 @@ bool Rebalancer::step() {
   }
   VREP_CHECK(out.committed);  // no chaos hook: a live chunk always commits
   cluster_.rb_chunks_.fetch_add(1, std::memory_order_relaxed);
-  metrics::counter("shard.rebalance.chunks").add(1);
+  static metrics::Counter& chunks = metrics::counter("shard.rebalance.chunks");
+  chunks.add(1);
   return true;
 }
 
@@ -222,9 +225,11 @@ bool Rebalancer::cutover() {
     cluster_.rb_cutover_stall_ns_.fetch_add(static_cast<std::uint64_t>(stall),
                                             std::memory_order_relaxed);
     cluster_.rb_cutovers_.fetch_add(1, std::memory_order_relaxed);
-    metrics::counter("shard.rebalance.cutovers").add(1);
-    metrics::counter("shard.rebalance.cutover_stall_ns")
-        .add(static_cast<std::uint64_t>(stall));
+    static metrics::Counter& cutovers = metrics::counter("shard.rebalance.cutovers");
+    cutovers.add(1);
+    static metrics::Counter& cutover_stall_ns =
+        metrics::counter("shard.rebalance.cutover_stall_ns");
+    cutover_stall_ns.add(static_cast<std::uint64_t>(stall));
   }
   return clean;
 }

@@ -260,7 +260,8 @@ ShardId ShardedCluster::add_shard() {
   const ShardId id = static_cast<ShardId>(shards_.size());
   shards_.push_back(build_shard(id));
   live_shards_.store(static_cast<unsigned>(shards_.size()), std::memory_order_release);
-  metrics::counter("shard.rebalance.shards_added").add(1);
+  static metrics::Counter& shards_added = metrics::counter("shard.rebalance.shards_added");
+  shards_added.add(1);
   return id;
 }
 
@@ -516,7 +517,8 @@ TxnDecision ShardedCluster::reroute_stale(const TxnDecision& decision) {
   const ShardId home = map_.shard_of(hash_key(d.key));
   if (home != d.home) {
     rb_retried_2pc_.fetch_add(1, std::memory_order_relaxed);
-    metrics::counter("shard.rebalance.retried_2pc").add(1);
+    static metrics::Counter& retried_2pc = metrics::counter("shard.rebalance.retried_2pc");
+    retried_2pc.add(1);
     if (d.cross && d.remote == home) d.remote = d.home;
     d.home = home;
   }
@@ -565,7 +567,8 @@ void ShardedCluster::promote(Shard& s) {
   VREP_CHECK(!s.primary_alive);
   VREP_CHECK(!s.backups.empty() && "cannot promote a shard with no backups");
   takeovers_ += 1;
-  metrics::counter("shard.takeovers").add(1);
+  static metrics::Counter& takeovers = metrics::counter("shard.takeovers");
+  takeovers.add(1);
 
   // Resolve every buffered in-doubt transaction on every surviving replica
   // against the decision records BEFORE anyone serves traffic.
@@ -673,7 +676,8 @@ void ShardedCluster::handoff_primary(ShardId id) {
   readopt_backups(s);
 
   rb_handoffs_.fetch_add(1, std::memory_order_relaxed);
-  metrics::counter("shard.rebalance.handoffs").add(1);
+  static metrics::Counter& handoffs = metrics::counter("shard.rebalance.handoffs");
+  handoffs.add(1);
 }
 
 void ShardedCluster::add_backup(ShardId id) {
@@ -701,7 +705,8 @@ void ShardedCluster::add_backup(ShardId id) {
   s.pipeline->set_two_safe(config_.two_safe && !s.backups.empty());
   s.pipeline->set_quorum(config_.quorum);
   rb_backup_adds_.fetch_add(1, std::memory_order_relaxed);
-  metrics::counter("shard.rebalance.backup_adds").add(1);
+  static metrics::Counter& backup_adds = metrics::counter("shard.rebalance.backup_adds");
+  backup_adds.add(1);
 }
 
 ShardedCluster::RebalanceCounters ShardedCluster::rebalance_counters() const {

@@ -6,18 +6,34 @@
 // run did and serialize it (see Snapshot::to_json and bench_common.hpp's
 // JsonReport).
 //
-// Cost model: instruments are created once (first use of a name) and then
-// updated lock-free — a Counter/Gauge update is one relaxed atomic RMW, so
-// sprinkling them on per-store paths is safe. Timers take a mutex per
-// record (they update a full Histogram); keep them on per-transaction /
-// per-frame paths, not per-byte ones. The recommended call-site pattern is
-// a function-local static reference:
+// Cost model. Resolving a name — metrics::counter/gauge/timer(name) — takes
+// the registry's one process-wide mutex, builds a std::string (a heap
+// allocation for any name over 15 characters, i.e. nearly all of them) and
+// walks a std::map. Threads that do it per event serialize on that mutex
+// whatever data they touch, so a lookup never belongs on a per-commit,
+// per-frame or per-apply path (bench/micro_ops.cpp's
+// BM_MetricsCounterByName/Handle measure the difference). Resolve once and
+// keep the reference: a function-local static at the call site,
 //
 //   static metrics::Counter& c = metrics::counter("net.transport.frames_sent");
 //   c.add(1);
 //
-// which resolves the name exactly once per process. References stay valid
-// forever: Registry::reset() zeroes values but never destroys instruments.
+// a small file-local accessor holding that static where one name is bumped
+// from several sites, or a handle stored by the owning object when the name
+// is built at run time (repl.primary.peer<i>.*). tests/metrics_lint_test.cpp
+// fails on any other lookup in src/. Once resolved, a Counter/Gauge update is
+// one relaxed atomic RMW, cheap enough for per-store paths; a Timer record
+// takes the timer's own mutex (it updates a full Histogram), so keep timers
+// on per-transaction / per-frame paths, not per-byte ones.
+//
+// Resolution stays lazy — on the first execution of the site, not in an
+// eager handle table — because creating an instrument is observable:
+// Snapshot::to_json emits every instrument created so far, even at 0, and
+// the deterministic BENCH_*.json baselines embed that snapshot. Resolving a
+// name the run never touches would add it to them.
+//
+// References stay valid forever: Registry::reset() zeroes values but never
+// destroys instruments.
 #pragma once
 
 #include <atomic>
