@@ -146,7 +146,7 @@ RejoinCost rejoin_cost(std::size_t db_size, std::uint64_t txns, bool checkpointe
     std::memcpy(source.mutable_db() + off, bytes, kLen);
     pipe.stage(off, bytes, kLen);
     source.committed = seq;
-    pipe.commit(seq);
+    pipe.wait(pipe.commit_async(seq));
   }
 
   RejoinCost cost;
@@ -163,7 +163,7 @@ RejoinCost rejoin_cost(std::size_t db_size, std::uint64_t txns, bool checkpointe
   std::memcpy(request.payload.data() + 16, &state_epoch, 8);
   link.inbound.push_back(std::move(request));
   link.sent.clear();
-  if (!pipe.handle_rejoin(/*timeout_ms=*/0)) {
+  if (!pipe.handle_rejoin(0, /*timeout_ms=*/0)) {
     cost.decision = "serve-failed";
     return cost;
   }

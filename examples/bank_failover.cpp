@@ -77,7 +77,7 @@ int run_primary(std::uint16_t port, int txns_before_death, bool chaos,
   store.flush_initial_state();
   // The backup introduces itself with a rejoin request (from sequence 0,
   // which yields the full image sync for a fresh replica).
-  if (!store.handle_rejoin(/*timeout_ms=*/5'000)) {
+  if (!store.handle_rejoin(0, /*timeout_ms=*/5'000)) {
     std::fprintf(stderr, "[primary] backup never asked to join\n");
     return 1;
   }
@@ -104,8 +104,8 @@ int run_primary(std::uint16_t port, int txns_before_death, bool chaos,
       if (!delay.has_value()) break;
       usleep(static_cast<useconds_t>(*delay * 1000));
       if (tcp.connect_to("127.0.0.1", port, /*timeout_ms=*/500)) {
-        store.attach_transport(&transport);
-        if (store.handle_rejoin(/*timeout_ms=*/1'000)) backoff.reset();
+        store.attach_transport(0, &transport);
+        if (store.handle_rejoin(0, /*timeout_ms=*/1'000)) backoff.reset();
       }
     }
     bank.run_txn(store, rng);

@@ -7,8 +7,8 @@
 // rejoin/delta-vs-full-image decisions, epoch fencing, 1-safe/2-safe commit
 // modes — lives in repl::RedoPipeline / repl::RedoApplier (repl/pipeline.hpp).
 // This file is pure composition: it binds the engine to a local Version 3
-// store (primary) or a replica arena (backup) and to a net::Transport via
-// net::TransportLink.
+// store (primary, through repl::PrimaryStore) or a replica arena (backup)
+// and to a net::Transport via net::TransportLink.
 //
 // Frame payloads (all frames CRC-protected and epoch-stamped by the
 // transport; kinds in repl/link.hpp):
@@ -48,24 +48,26 @@
 #include "cluster/failure_detector.hpp"
 #include "cluster/membership.hpp"
 #include "core/api.hpp"
-#include "core/v3_inline_log.hpp"
 #include "net/transport.hpp"
 #include "net/transport_link.hpp"
 #include "repl/pipeline.hpp"
+#include "repl/primary_store.hpp"
 #include "rio/arena.hpp"
 #include "sim/mem_bus.hpp"
 
 namespace vrep::net {
 
-class WirePrimary final : public core::TransactionStore,
-                          private sim::MemBus::CaptureSink,
-                          private repl::RedoPipeline::Source {
- public:
-  static constexpr std::size_t kDefaultRedoHistoryBytes =
-      repl::RedoPipeline::kDefaultRedoHistoryBytes;
-  using Lineage = repl::RedoPipeline::Lineage;
-  using Stats = repl::RedoPipeline::Stats;
+// Owns the pass-through bus a WirePrimary's local store runs on. A base
+// class so the bus is constructed before repl::PrimaryStore builds the
+// store over it.
+struct PassThroughBus {
+  sim::MemBus owned_bus;
+};
 
+// The active primary over real transports: a repl::PrimaryStore (local V3
+// store + RedoPipeline) whose pipeline peers are TransportLinks.
+class WirePrimary final : private PassThroughBus, public repl::PrimaryStore {
+ public:
   // The local store runs Version 3 on a pass-through bus over `arena`.
   // `format=false` attaches to existing state (e.g. an arena a promoted
   // backup built via WireBackup::promote) — call recover() afterwards.
@@ -77,102 +79,39 @@ class WirePrimary final : public core::TransactionStore,
               std::size_t redo_history_bytes = kDefaultRedoHistoryBytes);
 
   // Ship the current database image + sequence so (fresh) backups can join.
-  bool sync_backup() { return pipeline_.sync_backup(); }
+  bool sync_backup() { return pipeline().sync_backup(); }
 
   // Attach another backup over its own transport; returns the pipeline peer
   // index (the constructor's transport is peer 0).
   std::size_t add_backup(Transport* transport);
 
-  // Await a backup's kRejoinRequest after a (re)connect and serve it:
-  // a kRejoinDelta replay from the redo history when the gap is servable,
-  // a full image sync otherwise. Returns false on timeout/disconnect or if
-  // this primary has been fenced.
-  bool handle_rejoin(int timeout_ms) { return pipeline_.handle_rejoin(timeout_ms); }
+  // Await a backup's kRejoinRequest on `peer` after a (re)connect and serve
+  // it: a kRejoinDelta replay from the redo history when the gap is
+  // servable, a full image sync otherwise. Returns false on
+  // timeout/disconnect or if this primary has been fenced.
   bool handle_rejoin(std::size_t peer, int timeout_ms) {
-    return pipeline_.handle_rejoin(peer, timeout_ms);
+    return pipeline().handle_rejoin(peer, timeout_ms);
   }
 
   // Point a peer at a new transport after a reconnect (same or different
   // object).
-  void attach_transport(Transport* transport) { attach_transport(0, transport); }
   void attach_transport(std::size_t peer, Transport* transport);
 
-  // 2-safe commits (off by default, matching the paper's 1-safe design).
-  void set_two_safe(bool enabled) { pipeline_.set_two_safe(enabled); }
-  bool two_safe() const { return pipeline_.two_safe(); }
-  // Acks required for a 2-safe commit to count as quorum-durable (default 1).
-  void set_quorum(unsigned k) { pipeline_.set_quorum(k); }
-  unsigned quorum() const { return pipeline_.quorum(); }
-  repl::RedoPipeline::CommitOutcome last_commit_outcome() const {
-    return pipeline_.last_commit_outcome();
-  }
-
-  // Incremental fuzzy checkpointing (strictly opt-in; see repl/pipeline.hpp):
-  // truncates redo history at each watermark and lets laggards past the
-  // history window rejoin via checkpoint+delta instead of a full image.
-  void enable_checkpoints(std::uint64_t interval_txns,
-                          std::size_t copy_bytes_per_commit = 256 * 1024) {
-    pipeline_.enable_checkpoints(interval_txns, copy_bytes_per_commit);
-  }
-  bool checkpoints_enabled() const { return pipeline_.checkpoints_enabled(); }
-
-  // Group commit with a bounded in-flight window (see repl/pipeline.hpp).
-  // Defaults (W=1, G=1) reproduce the classic per-commit behavior exactly.
-  void set_commit_window(unsigned w) { pipeline_.set_commit_window(w); }
-  unsigned commit_window() const { return pipeline_.commit_window(); }
-  void set_group_size(unsigned g) { pipeline_.set_group_size(g); }
-  unsigned group_size() const { return pipeline_.group_size(); }
-  // Flush any buffered group and resolve every outstanding ticket.
-  repl::RedoPipeline::CommitOutcome sync() { return pipeline_.sync(); }
-  repl::RedoPipeline::CommitOutcome wait(repl::RedoPipeline::CommitTicket t) {
-    return pipeline_.wait(t);
-  }
-
-  void begin_transaction() override;
-  void set_range(void* base, std::size_t len) override;
-  void commit_transaction() override;
-  void abort_transaction() override;
-  int recover() override;
-  bool validate() const override { return local_->validate(); }
-  void flush_initial_state() override { local_->flush_initial_state(); }
-  core::VersionKind kind() const override { return core::VersionKind::kV3InlineLog; }
-  std::uint8_t* db() override { return local_->db(); }
-  const std::uint8_t* db() const override { return local_->db(); }
-  std::size_t db_size() const override { return local_->db_size(); }
-  std::uint64_t committed_seq() const override { return local_->committed_seq(); }
-  std::vector<core::StoreRegion> regions() const override { return local_->regions(); }
-  sim::MemBus& bus() override { return bus_; }
-
-  const Stats& stats() const { return pipeline_.stats(); }
-
-  bool send_heartbeat() { return pipeline_.send_heartbeat(); }
-  bool connection_alive() const { return pipeline_.connection_alive(); }
-  // A newer epoch fenced us: stop acting as primary (demote + rejoin).
-  bool fenced() const { return pipeline_.fenced(); }
-  // The epoch that fenced us (valid when fenced() is true); feed it to
-  // cluster::Membership::demote_to_backup.
-  std::uint64_t fenced_by_epoch() const { return pipeline_.fenced_by_epoch(); }
-  std::uint64_t epoch() const { return pipeline_.epoch(); }
+  bool send_heartbeat() { return pipeline().send_heartbeat(); }
+  bool connection_alive() const { return pipeline().connection_alive(); }
   // Highest applied sequence any backup has acknowledged (drained on
   // commit); per-peer watermarks via peer_acked_seq().
-  std::uint64_t backup_acked_seq() const { return pipeline_.backup_acked_seq(); }
-  std::uint64_t quorum_acked_seq() const { return pipeline_.quorum_acked_seq(); }
-  std::size_t peer_count() const { return pipeline_.peer_count(); }
-  bool peer_alive(std::size_t peer) const { return pipeline_.peer_alive(peer); }
-  std::uint64_t peer_acked_seq(std::size_t peer) const { return pipeline_.peer_acked_seq(peer); }
-
-  // Protocol engine (shared with the simulated backend) — direct access for
-  // tests and drivers.
-  repl::RedoPipeline& pipeline() { return pipeline_; }
+  std::uint64_t backup_acked_seq() const { return pipeline().backup_acked_seq(); }
+  std::uint64_t quorum_acked_seq() const { return pipeline().quorum_acked_seq(); }
+  std::size_t peer_count() const { return pipeline().peer_count(); }
+  bool peer_alive(std::size_t peer) const { return pipeline().peer_alive(peer); }
+  std::uint64_t peer_acked_seq(std::size_t peer) const {
+    return pipeline().peer_acked_seq(peer);
+  }
 
  private:
-  void on_captured_store(std::uint64_t off, const void* src, std::size_t len) override;
-
-  sim::MemBus bus_;  // pass-through (wall-clock deployment)
-  std::unique_ptr<core::InlineLogStore> local_;
   TransportLink link_;
   std::vector<std::unique_ptr<TransportLink>> extra_links_;
-  repl::RedoPipeline pipeline_;
 };
 
 // Backup-side replica state: a database image plus the applied sequence.

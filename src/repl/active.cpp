@@ -210,15 +210,14 @@ ActivePrimary::ActivePrimary(sim::MemBus& bus, rio::Arena& primary_arena,
                              rio::Arena& backup_arena, const core::StoreConfig& config,
                              const ActiveBackupLayout& layout, ActiveBackup* backup, bool format,
                              cluster::Membership* membership, RedoPipeline::Lineage lineage)
-    : bus_(&bus), primary_arena_(&primary_arena), layout_(layout),
-      local_(std::make_unique<core::InlineLogStore>(bus, primary_arena, config, format)),
-      link_(bus, ring_shadow(primary_arena, config), layout.ring_capacity, backup),
-      pipeline_(static_cast<RedoPipeline::Source&>(*this), &link_, membership, lineage) {
+    : PrimaryStore(bus, primary_arena, config, format, membership, lineage),
+      primary_arena_(&primary_arena), layout_(layout),
+      link_(bus, ring_shadow(primary_arena, config), layout.ring_capacity, backup) {
   VREP_CHECK(primary_arena.size() >= primary_arena_bytes(config, layout));
   std::uint8_t* ring_data = ring_shadow(primary_arena, config);
   bus.register_region(ring_data, layout.ring_capacity);
   bus.replicate_region(ring_data, backup_arena.data() + layout.ring_offset);
-  bus.set_capture(local_->db(), local_->db_size(), this);
+  pipeline().attach_link(0, &link_);
 }
 
 std::size_t ActivePrimary::add_backup(rio::Arena& backup_arena, ActiveBackup* backup) {
@@ -227,17 +226,16 @@ std::size_t ActivePrimary::add_backup(rio::Arena& backup_arena, ActiveBackup* ba
   const std::size_t ring_index = 1 + extra_links_.size();
   std::uint8_t* base = link_.ring_data() + ring_index * layout_.ring_capacity;
   VREP_CHECK(base + layout_.ring_capacity <= primary_arena_->data() + primary_arena_->size());
-  bus_->register_region(base, layout_.ring_capacity);
-  bus_->replicate_region(base, backup_arena.data() + layout_.ring_offset);
-  extra_links_.push_back(
-      std::make_unique<McRingLink>(*bus_, base, layout_.ring_capacity, backup));
-  return pipeline_.add_peer(extra_links_.back().get());
+  bus().register_region(base, layout_.ring_capacity);
+  bus().replicate_region(base, backup_arena.data() + layout_.ring_offset);
+  extra_links_.push_back(std::make_unique<McRingLink>(bus(), base, layout_.ring_capacity, backup));
+  return pipeline().add_peer(extra_links_.back().get());
 }
 
 void ActivePrimary::seed_from(const std::uint8_t* db, std::size_t size, std::uint64_t seq) {
-  VREP_CHECK(size == local_->db_size());
-  std::memcpy(local_->db(), db, size);
-  local_->seed_committed_seq(seq);
+  VREP_CHECK(size == local().db_size());
+  std::memcpy(local().db(), db, size);
+  local().seed_committed_seq(seq);
 }
 
 sim::SimTime ActivePrimary::flow_stall_ns() const {
@@ -255,36 +253,10 @@ sim::SimTime ActivePrimary::two_safe_wait_ns() const {
 void ActivePrimary::on_captured_store(std::uint64_t off, const void* src, std::size_t len) {
   // Local doubling into the volatile staging buffer (redo data only becomes
   // durable in the ring at commit).
-  bus_->charge(bus_->cost().io_store_base_ns +
-               static_cast<sim::SimTime>(static_cast<double>(len) *
-                                         bus_->cost().io_store_byte_ns));
-  pipeline_.stage(off, src, len);
-}
-
-void ActivePrimary::begin_transaction() {
-  pipeline_.begin();
-  local_->begin_transaction();
-}
-
-void ActivePrimary::set_range(void* base, std::size_t len) { local_->set_range(base, len); }
-
-void ActivePrimary::abort_transaction() {
-  local_->abort_transaction();
-  pipeline_.discard();
-}
-
-void ActivePrimary::commit_transaction() {
-  local_->commit_transaction();
-  // Asynchronous group commit: with the default window (W=1) and group size
-  // (G=1) this ships and waits exactly like the old blocking commit; wider
-  // settings return once the in-flight window has room (wait()/sync() give
-  // back the blocking semantics per ticket).
-  pipeline_.commit_async(local_->committed_seq());
-}
-
-int ActivePrimary::recover() {
-  pipeline_.discard();
-  return local_->recover();
+  sim::MemBus& b = bus();
+  b.charge(b.cost().io_store_base_ns +
+           static_cast<sim::SimTime>(static_cast<double>(len) * b.cost().io_store_byte_ns));
+  PrimaryStore::on_captured_store(off, src, len);
 }
 
 }  // namespace vrep::repl

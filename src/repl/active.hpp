@@ -12,9 +12,9 @@
 // commits, rejoin decisions) lives in repl::RedoPipeline / repl::RedoApplier
 // (pipeline.hpp) — the same engine the TCP and loopback deployments use.
 // This file supplies the simulated Memory Channel specifics: ActivePrimary
-// composes the engine over a McRingLink (mc_ring_link.hpp), and
-// ActiveBackup decodes the ring wire format, charging its own cache model,
-// before handing decoded batches to its RedoApplier.
+// is a PrimaryStore (primary_store.hpp) over McRingLinks (mc_ring_link.hpp),
+// and ActiveBackup decodes the ring wire format, charging its own cache
+// model, before handing decoded batches to its RedoApplier.
 //
 // In the simulated environment the backup is co-simulated deterministically:
 // after each commit the primary polls the backup with the virtual time at
@@ -33,9 +33,9 @@
 
 #include "cluster/membership.hpp"
 #include "core/api.hpp"
-#include "core/v3_inline_log.hpp"
 #include "repl/mc_ring_link.hpp"
 #include "repl/pipeline.hpp"
+#include "repl/primary_store.hpp"
 #include "repl/redo_ring.hpp"
 #include "rio/arena.hpp"
 #include "sim/node.hpp"
@@ -125,12 +125,12 @@ class ActiveBackup : private RedoApplier::Target {
   mutable std::uint64_t last_visible_seq_ = 0;
 };
 
-// Decorator around an InlineLogStore: same TransactionStore interface (so
-// workloads run unchanged), plus redo shipping at commit via the shared
-// RedoPipeline engine over a McRingLink.
-class ActivePrimary final : public core::TransactionStore,
-                            private sim::MemBus::CaptureSink,
-                            private RedoPipeline::Source {
+// The active primary over simulated Memory Channel rings: a PrimaryStore
+// (local V3 store + RedoPipeline, see repl/primary_store.hpp) whose pipeline
+// peers are McRingLinks, one ring shadow per co-simulated backup. Each
+// captured store also charges the local write doubling into the redo
+// staging buffer to the primary's bus.
+class ActivePrimary final : public PrimaryStore {
  public:
   // `primary_arena` hosts the local V3 store plus the local halves of the
   // doubled ring writes; `backup` owns the replica arena whose ring region
@@ -149,69 +149,14 @@ class ActivePrimary final : public core::TransactionStore,
   // region. Returns the pipeline peer index. All backups share `layout`.
   std::size_t add_backup(rio::Arena& backup_arena, ActiveBackup* backup);
 
-  // Acks required for a 2-safe commit to count as quorum-durable (default 1).
-  void set_quorum(unsigned k) { pipeline_.set_quorum(k); }
-  unsigned quorum() const { return pipeline_.quorum(); }
-  RedoPipeline::CommitOutcome last_commit_outcome() const {
-    return pipeline_.last_commit_outcome();
-  }
-
   // Install an existing database image and continue its sequence numbering
   // (promotion of a co-simulated backup to primary).
   void seed_from(const std::uint8_t* db, std::size_t size, std::uint64_t seq);
 
-  // 2-safe commit (extension beyond the paper's 1-safe design): commit does
-  // not return until the backup has durably applied the transaction and its
-  // acknowledgment has reached the primary. Closes the window of
-  // vulnerability at the price of one round trip per commit.
-  void set_two_safe(bool enabled) { pipeline_.set_two_safe(enabled); }
-  bool two_safe() const { return pipeline_.two_safe(); }
+  // Virtual time spent waiting for 2-safe acks, and stalled on full rings,
+  // summed over every backup.
   sim::SimTime two_safe_wait_ns() const;
-
-  // Incremental fuzzy checkpointing (strictly opt-in; see repl/pipeline.hpp):
-  // the commit path advances a background image copy, each completed
-  // watermark truncates redo history, and laggard rejoins are served
-  // checkpoint+delta instead of a full image.
-  void enable_checkpoints(std::uint64_t interval_txns,
-                          std::size_t copy_bytes_per_commit = 256 * 1024) {
-    pipeline_.enable_checkpoints(interval_txns, copy_bytes_per_commit);
-  }
-  bool checkpoints_enabled() const { return pipeline_.checkpoints_enabled(); }
-
-  // Group commit with a bounded in-flight window (see repl/pipeline.hpp):
-  // up to G commits coalesce into one ring unit and up to W shipped
-  // sequences may await acks before commit_transaction blocks. Defaults
-  // (W=1, G=1) reproduce the classic blocking commit byte-for-byte.
-  void set_commit_window(unsigned w) { pipeline_.set_commit_window(w); }
-  unsigned commit_window() const { return pipeline_.commit_window(); }
-  void set_group_size(unsigned g) { pipeline_.set_group_size(g); }
-  unsigned group_size() const { return pipeline_.group_size(); }
-  // Flush any buffered group and resolve every outstanding ticket.
-  RedoPipeline::CommitOutcome sync() { return pipeline_.sync(); }
-  RedoPipeline::CommitOutcome wait(RedoPipeline::CommitTicket t) { return pipeline_.wait(t); }
-
-  void begin_transaction() override;
-  void set_range(void* base, std::size_t len) override;
-  void commit_transaction() override;
-  void abort_transaction() override;
-  int recover() override;
-  bool validate() const override { return local_->validate(); }
-  core::VersionKind kind() const override { return core::VersionKind::kV3InlineLog; }
-  std::uint8_t* db() override { return local_->db(); }
-  const std::uint8_t* db() const override { return local_->db(); }
-  std::size_t db_size() const override { return local_->db_size(); }
-  std::uint64_t committed_seq() const override { return local_->committed_seq(); }
-  std::vector<core::StoreRegion> regions() const override { return local_->regions(); }
-  sim::MemBus& bus() override { return *bus_; }
-
   sim::SimTime flow_stall_ns() const;
-
-  // Epoch fencing (shared engine state; see repl/pipeline.hpp).
-  bool fenced() const { return pipeline_.fenced(); }
-  std::uint64_t fenced_by_epoch() const { return pipeline_.fenced_by_epoch(); }
-  std::uint64_t epoch() const { return pipeline_.epoch(); }
-  const RedoPipeline::Stats& stats() const { return pipeline_.stats(); }
-  RedoPipeline& pipeline() { return pipeline_; }
 
   // Arena size for a primary shipping to `backups` co-simulated backups
   // (one ring shadow each).
@@ -222,13 +167,10 @@ class ActivePrimary final : public core::TransactionStore,
  private:
   void on_captured_store(std::uint64_t off, const void* src, std::size_t len) override;
 
-  sim::MemBus* bus_;
   rio::Arena* primary_arena_;
   ActiveBackupLayout layout_;
-  std::unique_ptr<core::InlineLogStore> local_;
   McRingLink link_;
   std::vector<std::unique_ptr<McRingLink>> extra_links_;
-  RedoPipeline pipeline_;
 };
 
 }  // namespace vrep::repl

@@ -732,10 +732,6 @@ RedoPipeline::CommitOutcome RedoPipeline::sync() {
   return outcome;
 }
 
-RedoPipeline::CommitOutcome RedoPipeline::commit(std::uint64_t seq) {
-  return wait(commit_async(seq));
-}
-
 bool RedoPipeline::drain_peers() {
   // Everything committed must reach the carriers before the wait: the drain
   // target is the full shipped watermark, and every live peer — not just a

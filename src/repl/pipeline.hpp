@@ -11,8 +11,9 @@
 //     lineage rule), epoch fencing, 1-safe/2-safe commit modes with
 //     quorum-based acknowledgment over N backups, and the canonical
 //     metrics. Each backup occupies one slot in a per-peer table (link,
-//     acked sequence, liveness, rejoin accounting); commit() fans the
-//     encoded batch out to every live peer.
+//     acked sequence, liveness, rejoin accounting); a commit fans the
+//     encoded batch out to every live peer. There is one commit API:
+//     commit_async() returns a ticket, wait() blocks until it resolves.
 //   * RedoApplier — the backup side. Owns image transfer bookkeeping,
 //     atomic batch application, duplicate/gap/corrupt-frame accounting,
 //     in-band resync requests, and the replica's state epoch.
@@ -125,8 +126,10 @@ class RedoPipeline {
     std::uint64_t takeover_floor = 0;
   };
 
-  // The committed state the pipeline replicates; implemented by the owning
-  // store wrapper (ActivePrimary, WirePrimary).
+  // The committed state the pipeline replicates; implemented by its owner:
+  // the single-store primaries (repl::PrimaryStore, under ActivePrimary and
+  // net::WirePrimary), exec::SmpExecutor's gathered partitions, and each
+  // shard of shard::ShardedCluster.
   struct Source {
     virtual const std::uint8_t* db() const = 0;
     virtual std::size_t db_size() const = 0;
@@ -149,15 +152,15 @@ class RedoPipeline {
     std::uint64_t decides_shipped = 0;           // 2PC phase-2 frames shipped
   };
 
-  // What a commit() actually guaranteed when it returned. 1-safe commits are
+  // What a commit actually guaranteed once resolved. 1-safe commits are
   // always kLocalDurable; a 2-safe commit is kQuorumDurable when the
   // configured quorum of backup acknowledgments covered the sequence, and
   // kTwoSafeDegraded when the wait exhausted its probes (peers dead or
   // silent) and the commit is durable locally only — the caller can tell a
   // quorum-durable commit from a degraded one instead of being lied to.
-  // kPending is only ever returned by commit_async(): the sequence sits
-  // inside the open in-flight window (or an unshipped group) and will be
-  // resolved by later acks, wait(), or sync().
+  // kPending is only ever the provisional outcome of commit_async(): the
+  // sequence sits inside the open in-flight window (or an unshipped group)
+  // and will be resolved by later acks, wait(), or sync().
   enum class CommitOutcome : std::uint8_t {
     kLocalDurable,
     kQuorumDurable,
@@ -196,7 +199,6 @@ class RedoPipeline {
   std::size_t add_peer(ReplicationLink* link);
   // Point a slot at a new link after a reconnect (same or different object).
   void attach_link(std::size_t peer, ReplicationLink* link);
-  void attach_link(ReplicationLink* link) { attach_link(0, link); }
 
   // Tombstone a slot: the link is detached, the peer is dead, and its
   // acknowledgments no longer count toward the quorum. Indices of the other
@@ -214,21 +216,16 @@ class RedoPipeline {
   // comment above): off + len must not exceed 4 GiB.
   void stage(std::uint64_t off, const void* src, std::size_t len);
   void discard();
-  // Encode the staged chunks as sequence `seq`, retain them in the bounded
-  // history, fan the batch out to every live peer (1-safe: a send failure
-  // marks that peer down but never fails the commit), and in 2-safe mode
-  // block until a quorum of acknowledgments covers `seq`. The returned
-  // outcome (also held in last_commit_outcome()) says what was guaranteed.
-  // Equivalent to commit_async(seq) followed by wait() on its ticket.
-  CommitOutcome commit(std::uint64_t seq);
-
-  // Asynchronous group commit: stage the batch into the pending group
-  // (shipped once group_size() transactions have accumulated) and return a
-  // ticket immediately. 2-safe backpressure is the bounded in-flight window:
-  // the call blocks only while more than commit_window()-1 shipped sequences
-  // are unacked — with W=1, G=1 this is byte-identical to commit(). The
-  // commit's provisional outcome is in last_commit_outcome() (kPending while
-  // the window is open).
+  // Commit the staged chunks as sequence `seq`: retain them in the bounded
+  // history and stage the batch into the pending group, shipped to every
+  // live peer once group_size() transactions have accumulated (1-safe: a
+  // send failure marks that peer down but never fails the commit). Returns
+  // a ticket immediately. 2-safe backpressure is the bounded in-flight
+  // window: the call blocks only while more than commit_window()-1 shipped
+  // sequences are unacked — with W=1, G=1 it ships and blocks until a
+  // quorum of acknowledgments covers `seq`. The provisional outcome is in
+  // last_commit_outcome() (kPending while the window is open); a blocking
+  // commit is wait(commit_async(seq)).
   CommitTicket commit_async(std::uint64_t seq);
 
   // Resolution state of `ticket` right now, O(1) (no link traffic).
@@ -297,12 +294,13 @@ class RedoPipeline {
   // Highest sequence actually handed to the carriers (trailing transactions
   // of an unshipped group sit above this).
   std::uint64_t shipped_seq() const { return shipped_seq_; }
-  // Sequence of the most recent commit_async/commit (0 before the first).
+  // Sequence of the most recent commit_async/prepare_cross (0 before the
+  // first).
   std::uint64_t last_ticket_seq() const { return last_ticket_seq_; }
 
-  // 2-safe commit (extension beyond the paper's 1-safe design): commit does
-  // not return until `quorum` backups have durably applied the transaction
-  // and their acknowledgments have reached the primary.
+  // 2-safe commit (extension beyond the paper's 1-safe design): a commit's
+  // ticket does not resolve until `quorum` backups have durably applied the
+  // transaction and their acknowledgments have reached the primary.
   void set_two_safe(bool enabled) { two_safe_ = enabled; }
   bool two_safe() const { return two_safe_; }
   // Acks required for a 2-safe commit to count as quorum-durable (default 1,
@@ -319,7 +317,6 @@ class RedoPipeline {
   // serve it. Returns false on timeout/disconnect or if this primary has
   // been fenced.
   bool handle_rejoin(std::size_t peer, int timeout_ms);
-  bool handle_rejoin(int timeout_ms) { return handle_rejoin(0, timeout_ms); }
   bool send_heartbeat();
 
   // The rejoin policy, exposed so backends with out-of-band image transfer
@@ -555,16 +552,12 @@ class RedoApplier {
   void adopt_image(std::size_t size, std::uint64_t applied_seq, std::uint64_t state_epoch);
 
   // Direct data-plane entry for backends that decode their own wire format
-  // (the simulated ring): same sequencing/duplicate/gap rules as a
-  // kRedoBatch frame. Returns true if the batch was applied.
-  bool apply_decoded(std::uint64_t seq, const RedoChunk* chunks, std::size_t count,
-                     std::uint64_t epoch) {
-    return apply_decoded(seq, seq, chunks, count, epoch);
-  }
-  // Group variant: `chunks` holds the concatenated redo of the contiguous
-  // sequences [first_seq, last_seq], applied atomically (the ring's group
-  // marker guarantees the bytes arrived whole). Duplicate/gap rules apply to
-  // the group as a unit.
+  // (the simulated ring): `chunks` holds the concatenated redo of the
+  // contiguous sequences [first_seq, last_seq] (first == last for a single
+  // transaction), applied atomically (the ring's commit or group marker
+  // guarantees the bytes arrived whole). Same sequencing/duplicate/gap rules
+  // as a kRedoBatch frame, applied to the unit as a whole. Returns true if
+  // the batch was applied.
   bool apply_decoded(std::uint64_t first_seq, std::uint64_t last_seq, const RedoChunk* chunks,
                      std::size_t count, std::uint64_t epoch);
 

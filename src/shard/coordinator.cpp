@@ -90,7 +90,7 @@ CrossShardCoordinator::Outcome CrossShardCoordinator::commit(
     std::memcpy(home.db + slot_off, slot, sizeof slot);
     const std::uint64_t seq = *home.committed + 1;
     *home.committed = seq;
-    hp.commit(seq);
+    hp.wait(hp.commit_async(seq));
     out.home_seq = seq;
     out.committed = true;
   }

@@ -307,7 +307,7 @@ std::uint64_t ShardedCluster::run_local(Shard& shard, const wl::DebitCredit::Txn
 
   const std::uint64_t seq = shard.committed + 1;
   shard.committed = seq;
-  pipeline.commit(seq);
+  pipeline.wait(pipeline.commit_async(seq));
   return seq;
 }
 
@@ -731,6 +731,9 @@ const std::uint8_t* ShardedCluster::primary_db(ShardId id) const {
 }
 std::uint64_t ShardedCluster::shard_committed(ShardId id) const {
   return shards_.at(id)->committed;
+}
+std::uint64_t ShardedCluster::shard_ticket_seq(ShardId id) const {
+  return shards_.at(id)->pipeline->last_ticket_seq();
 }
 std::uint64_t ShardedCluster::shard_epoch(ShardId id) const {
   return shards_.at(id)->membership->view().epoch;

@@ -214,6 +214,8 @@ class ShardedCluster {
   // ---- inspection (quiesced) ---------------------------------------------
   const std::uint8_t* primary_db(ShardId id) const;
   std::uint64_t shard_committed(ShardId id) const;
+  // Sequence of the shard pipeline's latest commit or prepare ticket.
+  std::uint64_t shard_ticket_seq(ShardId id) const;
   std::uint64_t shard_epoch(ShardId id) const;
   std::size_t backup_count(ShardId id) const;
   const std::uint8_t* backup_db(ShardId id, std::size_t backup) const;

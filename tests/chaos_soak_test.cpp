@@ -141,8 +141,8 @@ TEST(ChaosSoak, SurvivorMatchesFaultFreeOracle) {
     const auto delay = backoff.next_delay_ms();
     usleep(static_cast<useconds_t>(*delay * 1000));
     if (node[cur].dial.connect_to("127.0.0.1", node[other].listener.bound_port(), 300)) {
-      p.attach_transport(node[cur].chaos.get());
-      if (p.handle_rejoin(1'500)) backoff.reset();
+      p.attach_transport(0, node[cur].chaos.get());
+      if (p.handle_rejoin(0, 1'500)) backoff.reset();
     }
   };
 

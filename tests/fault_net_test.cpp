@@ -192,7 +192,7 @@ TEST(FaultInjector, BitflippedFramesAreSkippedAndResynced) {
   ASSERT_TRUE(primary.connection_alive());  // no flip hit a header
   // Chaos window over: converge over the clean transport (a flipped
   // heartbeat header would tear the stream down for nothing).
-  primary.attach_transport(&pair.client);
+  primary.attach_transport(0, &pair.client);
   EXPECT_TRUE(await_ack(primary, 150));
   chaos.close_peer();
   backup_thread.join();
@@ -244,8 +244,8 @@ TEST(FaultInjector, TornFrameThenReconnectRejoinsWithDelta) {
   pair.reconnect();
   ASSERT_TRUE(backup.request_rejoin(pair.server));
   std::thread backup_thread2([&] { backup.serve(pair.server, 2000); });
-  primary.attach_transport(&pair.client);
-  ASSERT_TRUE(primary.handle_rejoin(2000));
+  primary.attach_transport(0, &pair.client);
+  ASSERT_TRUE(primary.handle_rejoin(0, 2000));
   for (int i = 0; i < 2; ++i) commit_random_txn(primary, rng, config.db_size);
   EXPECT_TRUE(await_ack(primary, 53));
   pair.client.close_peer();
@@ -308,11 +308,11 @@ TEST(FaultInjector, CheckpointDeltaInstallUnderFaultsConvergesUntorn) {
   FaultInjectingTransport chaos(pair.client, plan);
   ASSERT_TRUE(backup.request_rejoin(pair.server));
   std::thread serve2([&] { backup.serve(pair.server, 2000); });
-  primary.attach_transport(&chaos);
-  ASSERT_TRUE(primary.handle_rejoin(2000));
+  primary.attach_transport(0, &chaos);
+  ASSERT_TRUE(primary.handle_rejoin(0, 2000));
   // Chaos window over: converge over the clean transport (re-requests are
   // answered in-band from the heartbeat drain).
-  primary.attach_transport(&pair.client);
+  primary.attach_transport(0, &pair.client);
   EXPECT_TRUE(await_ack(primary, 60));
   pair.client.close_peer();
   serve2.join();
@@ -412,7 +412,7 @@ TEST(Fencing, SplitBrainOldPrimaryIsFencedThenRejoins) {
   // state in, so B must ship the full image.
   ASSERT_TRUE(rejoiner_a.request_rejoin(pair.client));
   std::thread serve3([&] { rejoiner_a.serve(pair.client, 2000); });
-  ASSERT_TRUE(primary_b.handle_rejoin(2000));
+  ASSERT_TRUE(primary_b.handle_rejoin(0, 2000));
   EXPECT_EQ(primary_b.stats().full_syncs_served, 1u);
   EXPECT_EQ(primary_b.stats().deltas_served, 0u);
 
@@ -464,8 +464,8 @@ TEST(Rejoin, FullImageFallbackWhenHistoryEvicted) {
   pair.reconnect();
   ASSERT_TRUE(backup.request_rejoin(pair.server));
   std::thread serve2([&] { backup.serve(pair.server, 2000); });
-  primary.attach_transport(&pair.client);
-  ASSERT_TRUE(primary.handle_rejoin(2000));
+  primary.attach_transport(0, &pair.client);
+  ASSERT_TRUE(primary.handle_rejoin(0, 2000));
   EXPECT_EQ(primary.stats().full_syncs_served, 1u);
   EXPECT_EQ(primary.stats().deltas_served, 0u);
   EXPECT_TRUE(await_ack(primary, 60));

@@ -169,7 +169,7 @@ WireResult run_wire_backend(net::Transport& primary_transport, net::Transport& b
   replay(primary, history());
   // Converge over the clean endpoint: the chaos window is the commit
   // stream, not the drain (a dropped heartbeat would only slow the wait).
-  primary.attach_transport(&clean_primary_end);
+  primary.attach_transport(0, &clean_primary_end);
   primary.sync();  // ship any buffered tail group before awaiting coverage
   EXPECT_TRUE(await_ack(primary, kTxns));
   clean_primary_end.close_peer();
@@ -322,7 +322,7 @@ void commit_one(repl::RedoPipeline& pipe, MemSource& source, std::uint64_t seq) 
   std::uint8_t data[8] = {static_cast<std::uint8_t>(seq), 1, 2, 3, 4, 5, 6, 7};
   pipe.stage(0, data, sizeof data);
   source.committed = seq;
-  pipe.commit(seq);
+  pipe.wait(pipe.commit_async(seq));
 }
 
 TEST(PipelineRegression, RejoinClaimingFutureSequenceGetsFullImageNotUnderflowedDelta) {
@@ -353,7 +353,7 @@ TEST(PipelineRegression, RejoinClaimingFutureSequenceGetsFullImageNotUnderflowed
   std::memcpy(request.payload.data() + 16, &state_epoch, 8);
   link.inbound.push_back(std::move(request));
   link.sent.clear();
-  ASSERT_TRUE(pipe.handle_rejoin(/*timeout_ms=*/0));
+  ASSERT_TRUE(pipe.handle_rejoin(0, /*timeout_ms=*/0));
   EXPECT_EQ(link.count(repl::FrameKind::kRejoinDelta), 0u);
   EXPECT_EQ(link.count(repl::FrameKind::kHello), 1u);
   EXPECT_GE(link.count(repl::FrameKind::kDbChunk), 1u);
@@ -363,7 +363,7 @@ TEST(PipelineRegression, RejoinClaimingFutureSequenceGetsFullImageNotUnderflowed
 
 TEST(PipelineRegression, SilentTwoSafeDegradationIsSurfaced) {
   // A 2-safe commit whose ack never arrives exhausts its probes and falls
-  // back to 1-safe. That used to be silent — commit() returned void and no
+  // back to 1-safe. That used to be silent — the commit returned void and no
   // stat moved — so a harness could not tell a quorum-durable commit from a
   // local-only one.
   MemSource source(4096);
@@ -375,7 +375,7 @@ TEST(PipelineRegression, SilentTwoSafeDegradationIsSurfaced) {
   std::uint8_t data[8] = {1, 2, 3, 4, 5, 6, 7, 8};
   pipe.stage(0, data, sizeof data);
   source.committed = 1;
-  const auto outcome = pipe.commit(1);
+  const auto outcome = pipe.wait(pipe.commit_async(1));
   EXPECT_EQ(outcome, repl::RedoPipeline::CommitOutcome::kTwoSafeDegraded);
   EXPECT_EQ(pipe.last_commit_outcome(), repl::RedoPipeline::CommitOutcome::kTwoSafeDegraded);
   EXPECT_EQ(pipe.stats().two_safe_degraded, 1u);
@@ -384,12 +384,12 @@ TEST(PipelineRegression, SilentTwoSafeDegradationIsSurfaced) {
   // An acked 2-safe commit reports quorum durability — and does not move the
   // degradation counter.
   ScriptedLink healthy;
-  pipe.attach_link(&healthy);
+  pipe.attach_link(0, &healthy);
   healthy.push_ack(2);
   pipe.begin();
   pipe.stage(0, data, sizeof data);
   source.committed = 2;
-  EXPECT_EQ(pipe.commit(2), repl::RedoPipeline::CommitOutcome::kQuorumDurable);
+  EXPECT_EQ(pipe.wait(pipe.commit_async(2)), repl::RedoPipeline::CommitOutcome::kQuorumDurable);
   EXPECT_EQ(pipe.stats().two_safe_degraded, 1u);
 }
 
@@ -409,7 +409,7 @@ TEST(PipelineRegression, QuorumTwoSafeNeedsKAcks) {
   pipe.begin();
   pipe.stage(0, data, sizeof data);
   source.committed = 1;
-  EXPECT_EQ(pipe.commit(1), repl::RedoPipeline::CommitOutcome::kQuorumDurable);
+  EXPECT_EQ(pipe.wait(pipe.commit_async(1)), repl::RedoPipeline::CommitOutcome::kQuorumDurable);
   EXPECT_EQ(peer0.count(repl::FrameKind::kRedoBatch), 1u);
   EXPECT_EQ(peer1.count(repl::FrameKind::kRedoBatch), 1u) << "commit must fan out to all peers";
   EXPECT_EQ(pipe.quorum_acked_seq(), 1u);
@@ -419,7 +419,7 @@ TEST(PipelineRegression, QuorumTwoSafeNeedsKAcks) {
   pipe.begin();
   pipe.stage(0, data, sizeof data);
   source.committed = 2;
-  EXPECT_EQ(pipe.commit(2), repl::RedoPipeline::CommitOutcome::kTwoSafeDegraded);
+  EXPECT_EQ(pipe.wait(pipe.commit_async(2)), repl::RedoPipeline::CommitOutcome::kTwoSafeDegraded);
   EXPECT_EQ(pipe.stats().two_safe_degraded, 1u);
   EXPECT_EQ(pipe.backup_acked_seq(), 2u);  // best peer
   EXPECT_EQ(pipe.quorum_acked_seq(), 1u);  // K-th best: quorum coverage stalled
@@ -676,7 +676,7 @@ void commit_page_txn(repl::RedoPipeline& pipe, MemSource& source, std::uint64_t 
   std::memcpy(source.mutable_db() + off, data, sizeof data);
   pipe.stage(off, data, sizeof data);
   source.committed = seq;
-  pipe.commit(seq);
+  pipe.wait(pipe.commit_async(seq));
 }
 
 struct CkptScenario {
@@ -704,7 +704,7 @@ struct CkptScenario {
     std::memcpy(request.payload.data() + 8, &node, 8);
     std::memcpy(request.payload.data() + 16, &state_epoch, 8);
     link.inbound.push_back(std::move(request));
-    EXPECT_TRUE(pipe.handle_rejoin(/*timeout_ms=*/0));
+    EXPECT_TRUE(pipe.handle_rejoin(0, /*timeout_ms=*/0));
     return link.sent;
   }
 };
@@ -1245,7 +1245,7 @@ TEST(CrossShard2pc, AbortKeepsHistoryContiguousAndImageUntouched) {
   std::memcpy(request.payload.data() + 16, &state_epoch, 8);
   link.inbound.push_back(std::move(request));
   link.sent.clear();
-  ASSERT_TRUE(pipe.handle_rejoin(/*timeout_ms=*/0));
+  ASSERT_TRUE(pipe.handle_rejoin(0, /*timeout_ms=*/0));
   EXPECT_EQ(link.count(repl::FrameKind::kRejoinDelta), 1u);
   for (const auto& f : link.sent) {
     ASSERT_EQ(laggard.on_frame(f, reply), repl::RedoApplier::FrameResult::kOk);

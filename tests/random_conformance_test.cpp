@@ -270,7 +270,7 @@ TEST(RandomPipelineConformance, TruncatedHistoryRejoinsConvergeAcrossSeedMatrix)
         pipe.stage(off, bytes.data(), len);
       }
       source.committed = seq;
-      pipe.commit(seq);
+      pipe.wait(pipe.commit_async(seq));
       if (seq == lag_at) lag_image.assign(source.db(), source.db() + kDb);
     }
     if (ckpt_seed) {
@@ -291,7 +291,7 @@ TEST(RandomPipelineConformance, TruncatedHistoryRejoinsConvergeAcrossSeedMatrix)
     std::memcpy(request.payload.data() + 16, &state_epoch, 8);
     link.inbound.push_back(std::move(request));
     link.sent.clear();
-    ASSERT_TRUE(pipe.handle_rejoin(/*timeout_ms=*/0));
+    ASSERT_TRUE(pipe.handle_rejoin(0, /*timeout_ms=*/0));
     RecordingLink backup_link;
     for (const auto& f : link.sent) applier.on_frame(f, backup_link);
 

@@ -562,6 +562,11 @@ TEST(ShardHammer, ConcurrentCrossShardCommitsStayConsistent) {
   for (unsigned s = 0; s < cluster.num_shards(); ++s) {
     EXPECT_EQ(cluster.in_doubt(s), 0u);
     EXPECT_EQ(cluster.check_replicas(s), "") << "shard " << s;
+    // Every shard sequenced its own contiguous stream: each prepare and each
+    // home commit burns one sequence of the shard it lands on, so the
+    // pipeline's last ticket is the shard's commit counter.
+    EXPECT_GT(cluster.shard_committed(s), 0u) << "shard " << s << " never sequenced";
+    EXPECT_EQ(cluster.shard_ticket_seq(s), cluster.shard_committed(s)) << "shard " << s;
   }
   EXPECT_EQ(cluster.check_global_consistency(), "");
   EXPECT_EQ(cluster.resolution_conflicts(), 0u);
