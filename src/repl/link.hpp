@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -87,6 +88,31 @@ class ReplicationLink {
   // derived from it stay byte-stable run to run). Wall-clock transports
   // return nullopt and the engine falls back to measuring wall time.
   virtual std::optional<std::uint64_t> blocked_wait_ns() const { return std::nullopt; }
+};
+
+// The reply direction of an in-process carrier: send() appends the frame to
+// the carrier's inbound queue for the primary's next recv(); nothing is ever
+// received this way. While `*down` is set (the carrier was killed), sends
+// fail and the link reports disconnected; without a flag it never goes down.
+class QueueLink final : public ReplicationLink {
+ public:
+  explicit QueueLink(std::deque<Frame>* queue, const bool* down = nullptr)
+      : queue_(queue), down_(down) {}
+
+  bool send(FrameKind kind, std::uint64_t epoch, const void* payload,
+            std::size_t len) override {
+    if (!connected()) return false;
+    const auto* p = static_cast<const std::uint8_t*>(payload);
+    queue_->push_back(Frame{kind, epoch, std::vector<std::uint8_t>(p, p + len)});
+    return true;
+  }
+  std::optional<Frame> recv(int) override { return std::nullopt; }
+  LinkError last_error() const override { return LinkError::kTimeout; }
+  bool connected() const override { return down_ == nullptr || !*down_; }
+
+ private:
+  std::deque<Frame>* queue_;
+  const bool* down_;
 };
 
 }  // namespace vrep::repl

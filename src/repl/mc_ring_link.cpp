@@ -13,27 +13,6 @@ namespace vrep::repl {
 
 using sim::TrafficClass;
 
-namespace {
-// Reply path for co-simulated control frames: the backup's applier answers
-// (fences) straight into the primary link's inbound queue.
-class QueueLink final : public ReplicationLink {
- public:
-  explicit QueueLink(std::deque<Frame>* queue) : queue_(queue) {}
-  bool send(FrameKind kind, std::uint64_t epoch, const void* payload,
-            std::size_t len) override {
-    const auto* p = static_cast<const std::uint8_t*>(payload);
-    queue_->push_back(Frame{kind, epoch, std::vector<std::uint8_t>(p, p + len)});
-    return true;
-  }
-  std::optional<Frame> recv(int) override { return std::nullopt; }
-  LinkError last_error() const override { return LinkError::kTimeout; }
-  bool connected() const override { return true; }
-
- private:
-  std::deque<Frame>* queue_;
-};
-}  // namespace
-
 McRingLink::McRingLink(sim::MemBus& bus, std::uint8_t* ring_data, std::size_t ring_capacity,
                        ActiveBackup* backup)
     : bus_(&bus), ring_data_(ring_data), ring_capacity_(ring_capacity), backup_(backup) {}

@@ -27,29 +27,6 @@ void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.resize(at + 4);
   std::memcpy(out.data() + at, &v, 4);
 }
-
-// Applier counters bumped from several sites. Each resolves its name on the
-// first bump, like the single-site statics elsewhere in this file.
-metrics::Counter& duplicates_ignored() {
-  static metrics::Counter& c = metrics::counter("repl.backup.duplicates_ignored");
-  return c;
-}
-metrics::Counter& gaps_detected() {
-  static metrics::Counter& c = metrics::counter("repl.backup.gaps_detected");
-  return c;
-}
-metrics::Counter& batches_applied() {
-  static metrics::Counter& c = metrics::counter("repl.backup.batches_applied");
-  return c;
-}
-metrics::Counter& corrupt_skipped() {
-  static metrics::Counter& c = metrics::counter("repl.backup.corrupt_skipped");
-  return c;
-}
-metrics::Counter& resyncs() {
-  static metrics::Counter& c = metrics::counter("repl.backup.resyncs");
-  return c;
-}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -236,6 +213,31 @@ bool RedoPipeline::link_send(PeerSlot& peer, FrameKind kind, const void* payload
   return peer.link->send(kind, epoch(), payload, len);
 }
 
+bool RedoPipeline::send_live(PeerSlot& peer, FrameKind kind, const void* payload,
+                             std::size_t len) {
+  if (!peer.alive || fenced_) return false;
+  const bool sent = link_send(peer, kind, payload, len);
+  if (!sent) peer.alive = false;
+  return sent;
+}
+
+bool RedoPipeline::fan_out(FrameKind kind, const void* payload, std::size_t len,
+                           std::uint64_t txns) {
+  bool shipped = false;
+  for (PeerSlot& p : peers_) {
+    if (!send_live(p, kind, payload, len)) continue;
+    p.shipped->add(txns);
+    shipped = true;
+  }
+  return shipped;
+}
+
+void RedoPipeline::drain_live() {
+  for (PeerSlot& p : peers_) {
+    if (p.alive) drain(p);
+  }
+}
+
 void RedoPipeline::begin() {
   batch_.clear();
   batch_.resize(8);  // sequence filled in at commit
@@ -293,22 +295,26 @@ void RedoPipeline::on_control_frame(PeerSlot& peer, const Frame& frame) {
       }
       break;
     }
-    case FrameKind::kRejoinRequest: {
-      if (frame.payload.size() != 24) break;
-      if (membership_ != nullptr && frame.epoch > epoch()) {
-        fence(frame.epoch);
-        break;
-      }
-      std::uint64_t seq, node, state_epoch;
-      std::memcpy(&seq, frame.payload.data(), 8);
-      std::memcpy(&node, frame.payload.data() + 8, 8);
-      std::memcpy(&state_epoch, frame.payload.data() + 16, 8);
-      serve_rejoin(peer, seq, node, state_epoch);
+    case FrameKind::kRejoinRequest:
+      if (frame.payload.size() == 24) serve_request(peer, frame);
       break;
-    }
     default:
       break;
   }
+}
+
+bool RedoPipeline::serve_request(PeerSlot& peer, const Frame& frame) {
+  if (membership_ != nullptr && frame.epoch > epoch()) {
+    // The requester has seen a newer epoch than ours: we are the stale node
+    // here. Step aside instead of serving.
+    fence(frame.epoch);
+    return false;
+  }
+  std::uint64_t seq, node, state_epoch;
+  std::memcpy(&seq, frame.payload.data(), 8);
+  std::memcpy(&node, frame.payload.data() + 8, 8);
+  std::memcpy(&state_epoch, frame.payload.data() + 16, 8);
+  return serve_rejoin(peer, seq, node, state_epoch);
 }
 
 void RedoPipeline::drain(PeerSlot& peer) {
@@ -330,10 +336,6 @@ void RedoPipeline::drain(PeerSlot& peer) {
 }
 
 void RedoPipeline::wait_covered(std::uint64_t target) {
-  // Push the shipped frames all the way onto every carrier, then probe: the
-  // heartbeat carries our shipped sequence, and a caught-up backup answers
-  // it with an immediate ack (a behind one requests resync, which
-  // serve_rejoin repairs right here in the wait loop).
   // Wait accounting: co-simulated carriers report their blocking time in
   // virtual nanoseconds, which keeps the metric byte-stable across runs;
   // only when every link is wall-clock do we fall back to measuring wall
@@ -350,23 +352,48 @@ void RedoPipeline::wait_covered(std::uint64_t target) {
   };
   const std::optional<std::uint64_t> virt0 = virtual_wait();
   const auto t0 = std::chrono::steady_clock::now();
+  await_acks(target, Cover::kQuorum);
+  const std::optional<std::uint64_t> virt1 = virtual_wait();
+  static metrics::Counter& commit_wait_ns = metrics::counter("repl.primary.commit_wait_ns");
+  commit_wait_ns.add(virt1.has_value()
+                         ? *virt1 - virt0.value_or(0)
+                         : static_cast<std::uint64_t>(
+                               std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count()));
+  // Coverage unreachable (peers dead/silent or we were fenced): resolve
+  // every outstanding ticket now instead of leaving the window dangling.
+  if (quorum_acked_cache_ < target) note_degraded();
+}
+
+bool RedoPipeline::covered(std::uint64_t target, Cover rule) const {
+  if (rule == Cover::kQuorum) return quorum_acked_cache_ >= target;
+  for (const PeerSlot& p : peers_) {
+    if (p.alive && p.acked_seq < target) return false;
+  }
+  return true;
+}
+
+void RedoPipeline::await_acks(std::uint64_t target, Cover rule) {
+  // Push the shipped frames all the way onto every carrier, then probe: the
+  // heartbeat carries our shipped sequence, and a caught-up backup answers
+  // it with an immediate ack (a behind one requests resync, which
+  // serve_rejoin repairs right here in the wait loop).
   for (PeerSlot& p : peers_) {
     if (p.link != nullptr) p.link->flush();
   }
-  const auto probe = [&](PeerSlot& p) {
-    const std::uint64_t shipped = shipped_watermark();
-    if (p.alive && !fenced_ && !link_send(p, FrameKind::kHeartbeat, &shipped, 8)) {
-      p.alive = false;
-    }
-  };
+  const std::uint64_t shipped = shipped_watermark();
   for (PeerSlot& p : peers_) {
-    probe(p);
+    // A quorum wait probes every live peer; a drain only those still behind.
+    if (rule == Cover::kQuorum || p.acked_seq < target) {
+      send_live(p, FrameKind::kHeartbeat, &shipped, 8);
+    }
     p.silent = 0;
   }
-  while (!fenced_ && quorum_acked_cache_ < target) {
+  while (!fenced_ && !covered(target, rule)) {
     bool any_waiting = false;
     for (PeerSlot& p : peers_) {
-      if (fenced_ || quorum_acked_cache_ >= target) break;
+      if (fenced_ || covered(target, rule)) break;
       if (!p.alive || p.acked_seq >= target) continue;
       any_waiting = true;
       auto frame = p.link->recv(kTwoSafeRecvTimeoutMs);
@@ -378,7 +405,7 @@ void RedoPipeline::wait_covered(std::uint64_t target) {
               p.alive = false;
               break;
             }
-            probe(p);
+            send_live(p, FrameKind::kHeartbeat, &shipped, 8);
             continue;
           case LinkError::kCorrupt:
             if (p.link->connected()) continue;
@@ -393,21 +420,9 @@ void RedoPipeline::wait_covered(std::uint64_t target) {
       p.silent = 0;
       on_control_frame(p, *frame);
     }
-    // Every laggard peer is down: no further acks can arrive, so the commit
-    // degrades to whatever coverage it already has.
+    // Every laggard peer is down: no further acks can arrive.
     if (!any_waiting) break;
   }
-  const std::optional<std::uint64_t> virt1 = virtual_wait();
-  static metrics::Counter& commit_wait_ns = metrics::counter("repl.primary.commit_wait_ns");
-  commit_wait_ns.add(virt1.has_value()
-                         ? *virt1 - virt0.value_or(0)
-                         : static_cast<std::uint64_t>(
-                               std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now() - t0)
-                                   .count()));
-  // Coverage unreachable (peers dead/silent or we were fenced): resolve
-  // every outstanding ticket now instead of leaving the window dangling.
-  if (quorum_acked_cache_ < target) note_degraded();
 }
 
 void RedoPipeline::note_degraded() {
@@ -424,9 +439,16 @@ void RedoPipeline::note_degraded() {
   two_safe_degraded.add(newly);
 }
 
-void RedoPipeline::push_history(std::uint64_t seq) {
-  history_.push_back({seq, batch_});
-  history_bytes_ += batch_.size();
+void RedoPipeline::insert_history(std::uint64_t seq, std::vector<std::uint8_t> batch) {
+  history_bytes_ += batch.size();
+  // A decided cross-shard batch can land behind later sequences; keep the
+  // history seq-ordered so rejoin replays stay ascending.
+  auto it = history_.end();
+  if (!history_.empty() && history_.back().seq > seq) {
+    it = std::lower_bound(history_.begin(), history_.end(), seq,
+                          [](const SeqBatch& e, std::uint64_t s) { return e.seq < s; });
+  }
+  history_.insert(it, SeqBatch{seq, std::move(batch)});
   while (history_bytes_ > history_capacity_ && !history_.empty()) {
     history_bytes_ -= history_.front().batch.size();
     history_.pop_front();
@@ -545,14 +567,7 @@ bool RedoPipeline::serve_checkpoint_delta(PeerSlot& peer, std::uint64_t backup_s
   std::vector<std::uint8_t> chunk;
   std::uint64_t shipped_bytes = 0;
   for (const auto& [off, len] : runs) {
-    chunk.clear();
-    chunk.resize(8);
-    std::memcpy(chunk.data(), &off, 8);
-    chunk.insert(chunk.end(), ckpt_image_.data() + off, ckpt_image_.data() + off + len);
-    if (!link_send(peer, FrameKind::kCkptChunk, chunk.data(), chunk.size())) {
-      peer.alive = false;
-      return false;
-    }
+    if (!send_run(peer, FrameKind::kCkptChunk, ckpt_image_.data(), off, len, chunk)) return false;
     shipped_bytes += len;
   }
   // kCkptEnd: u64 watermark seq | u32 image crc.
@@ -570,6 +585,17 @@ bool RedoPipeline::serve_checkpoint_delta(PeerSlot& peer, std::uint64_t backup_s
   return true;
 }
 
+bool RedoPipeline::send_run(PeerSlot& peer, FrameKind kind, const std::uint8_t* image,
+                            std::uint64_t off, std::size_t len, std::vector<std::uint8_t>& chunk) {
+  chunk.clear();
+  chunk.resize(8);
+  std::memcpy(chunk.data(), &off, 8);
+  chunk.insert(chunk.end(), image + off, image + off + len);
+  if (link_send(peer, kind, chunk.data(), chunk.size())) return true;
+  peer.alive = false;
+  return false;
+}
+
 void RedoPipeline::ship_group() {
   if (pending_group_.empty()) return;
   const std::size_t count = pending_group_.size();
@@ -583,7 +609,7 @@ void RedoPipeline::ship_group() {
   if (count > 1) {
     kind = FrameKind::kRedoGroup;
     append_u32(group, static_cast<std::uint32_t>(count));
-    for (const PendingTxn& txn : pending_group_) {
+    for (const SeqBatch& txn : pending_group_) {
       append_u32(group, static_cast<std::uint32_t>(txn.batch.size()));
       group.insert(group.end(), txn.batch.begin(), txn.batch.end());
     }
@@ -593,25 +619,14 @@ void RedoPipeline::ship_group() {
   // Fire and forget to every live peer; a send failure marks that peer down
   // but never blocks or fails the local commits (1-safe semantics — the
   // 2-safe wait is the caller's window backpressure).
-  bool shipped = false;
-  for (PeerSlot& p : peers_) {
-    if (!p.alive || fenced_) continue;
-    if (link_send(p, kind, payload, payload_len)) {
-      p.shipped->add(static_cast<std::uint64_t>(count));
-      shipped = true;
-    } else {
-      p.alive = false;
-    }
-  }
+  const bool shipped = fan_out(kind, payload, payload_len, count);
   shipped_seq_ = pending_group_.back().seq;
   if (shipped) {
     stats_.txns_shipped += count;
     static metrics::Counter& txns_shipped = metrics::counter("repl.primary.txns_shipped");
     txns_shipped.add(count);
   }
-  for (PeerSlot& p : peers_) {
-    if (p.alive) drain(p);
-  }
+  drain_live();
   static metrics::Timer& group_size = metrics::timer("repl.primary.group_size");
   group_size.record(count);
   const std::uint64_t in_flight =
@@ -669,12 +684,9 @@ void RedoPipeline::poll_acks() {
     if (!peer.alive) continue;
     drain(peer);
     // An applier acks in answer to a probe carrying our shipped watermark
-    // (wait_covered's protocol), not per applied batch — so a lagging peer
+    // (await_acks' protocol), not per applied batch — so a lagging peer
     // must be probed here or an async caller would poll forever.
-    if (peer.alive && !fenced_ && peer.acked_seq < shipped &&
-        !link_send(peer, FrameKind::kHeartbeat, &shipped, 8)) {
-      peer.alive = false;
-    }
+    if (peer.acked_seq < shipped) send_live(peer, FrameKind::kHeartbeat, &shipped, 8);
   }
 }
 
@@ -682,12 +694,17 @@ RedoPipeline::CommitTicket RedoPipeline::commit_async(std::uint64_t seq) {
   std::memcpy(batch_.data(), &seq, 8);
   // Retain the batch even while every link is down or we are fenced: a later
   // rejoin (ours or a backup's) replays from this history.
-  push_history(seq);
+  insert_history(seq, batch_);
   if (ckpt_enabled_) step_checkpoint(seq);
-  pending_group_.push_back(PendingTxn{seq, std::move(batch_)});
+  pending_group_.push_back(SeqBatch{seq, std::move(batch_)});
   batch_.clear();
   last_ticket_seq_ = seq;
   if (pending_group_.size() >= group_size_) ship_group();
+  admit(seq);
+  return CommitTicket{seq};
+}
+
+RedoPipeline::CommitOutcome RedoPipeline::admit(std::uint64_t seq) {
   CommitOutcome outcome = CommitOutcome::kLocalDurable;
   if (!two_safe_) {
     // 1-safe: locally durable the moment the local store committed; the
@@ -695,19 +712,19 @@ RedoPipeline::CommitTicket RedoPipeline::commit_async(std::uint64_t seq) {
     local_resolved_upto_ = seq;
   } else {
     // 2-safe: the bounded in-flight window is the backpressure. With W=1 we
-    // take the classic path unconditionally whenever this commit shipped its
+    // take the classic path unconditionally whenever this ticket shipped its
     // own sequence (flush + probe + wait until covered — byte-identical to
     // the historical blocking commit); a wider window blocks only once more
     // than W-1 shipped sequences are unacked.
     if (window_ == 1) {
       if (shipped_seq_ == seq) wait_covered(seq);
-    } else if (shipped_seq_ > 0 && window_target() > quorum_acked_cache_) {
+    } else if (window_target() > quorum_acked_cache_) {
       wait_covered(window_target());
     }
     outcome = outcome_of(seq);
   }
   last_commit_outcome_ = outcome;
-  return CommitTicket{seq};
+  return outcome;
 }
 
 RedoPipeline::CommitOutcome RedoPipeline::wait(CommitTicket ticket) {
@@ -741,55 +758,7 @@ bool RedoPipeline::drain_peers() {
   ship_group();
   if (fenced_) return false;
   const std::uint64_t target = shipped_watermark();
-  for (PeerSlot& p : peers_) {
-    if (p.link != nullptr) p.link->flush();
-  }
-  const auto lagging = [&]() {
-    for (const PeerSlot& p : peers_) {
-      if (p.alive && p.acked_seq < target) return true;
-    }
-    return false;
-  };
-  const auto probe = [&](PeerSlot& p) {
-    if (p.alive && !fenced_ && !link_send(p, FrameKind::kHeartbeat, &target, 8)) {
-      p.alive = false;
-    }
-  };
-  for (PeerSlot& p : peers_) {
-    if (p.alive && p.acked_seq < target) probe(p);
-    p.silent = 0;
-  }
-  while (!fenced_ && lagging()) {
-    bool any_waiting = false;
-    for (PeerSlot& p : peers_) {
-      if (fenced_) break;
-      if (!p.alive || p.acked_seq >= target) continue;
-      any_waiting = true;
-      auto frame = p.link->recv(kTwoSafeRecvTimeoutMs);
-      if (!frame.has_value()) {
-        switch (p.link->last_error()) {
-          case LinkError::kTimeout:
-            if (++p.silent > kTwoSafeMaxProbes) {
-              p.alive = false;
-              break;
-            }
-            probe(p);
-            continue;
-          case LinkError::kCorrupt:
-            if (p.link->connected()) continue;
-            p.alive = false;
-            break;
-          default:
-            p.alive = false;
-            break;
-        }
-        continue;
-      }
-      p.silent = 0;
-      on_control_frame(p, *frame);
-    }
-    if (!any_waiting) break;
-  }
+  await_acks(target, Cover::kEveryPeer);
   if (fenced_) return false;
   bool any_live = false;
   for (const PeerSlot& p : peers_) {
@@ -798,20 +767,6 @@ bool RedoPipeline::drain_peers() {
     if (p.acked_seq < target) return false;  // gave up on a silent laggard
   }
   return any_live;
-}
-
-void RedoPipeline::insert_history(std::uint64_t seq, std::vector<std::uint8_t> batch) {
-  history_bytes_ += batch.size();
-  // Later sequences may already be in the history when a decision lands;
-  // keep it seq-ordered so rejoin replays stay ascending.
-  auto it = std::lower_bound(
-      history_.begin(), history_.end(), seq,
-      [](const HistoryEntry& e, std::uint64_t s) { return e.seq < s; });
-  history_.insert(it, HistoryEntry{seq, std::move(batch)});
-  while (history_bytes_ > history_capacity_ && !history_.empty()) {
-    history_bytes_ -= history_.front().batch.size();
-    history_.pop_front();
-  }
 }
 
 RedoPipeline::CommitTicket RedoPipeline::prepare_cross(std::uint64_t seq, std::uint64_t xid) {
@@ -825,39 +780,19 @@ RedoPipeline::CommitTicket RedoPipeline::prepare_cross(std::uint64_t seq, std::u
   std::vector<std::uint8_t> payload(8 + batch_.size());
   std::memcpy(payload.data(), &xid, 8);
   std::memcpy(payload.data() + 8, batch_.data(), batch_.size());
-  for (PeerSlot& p : peers_) {
-    if (!p.alive || fenced_) continue;
-    if (link_send(p, FrameKind::kXPrepare, payload.data(), payload.size())) {
-      p.shipped->add(1);
-    } else {
-      p.alive = false;
-    }
-  }
+  fan_out(FrameKind::kXPrepare, payload.data(), payload.size(), /*txns=*/1);
   shipped_seq_ = seq;
   last_ticket_seq_ = seq;
   stats_.prepares_shipped++;
   static metrics::Counter& prepares_shipped = metrics::counter("repl.primary.prepares_shipped");
   prepares_shipped.add(1);
-  in_doubt_.emplace(xid, InDoubtTxn{seq, std::move(batch_)});
+  in_doubt_.emplace(xid, SeqBatch{seq, std::move(batch_)});
   batch_.clear();
-  for (PeerSlot& p : peers_) {
-    if (p.alive) drain(p);
-  }
-  CommitOutcome outcome = CommitOutcome::kLocalDurable;
-  if (!two_safe_) {
-    local_resolved_upto_ = seq;
-  } else {
-    // Same bounded-window backpressure as commit_async: the coordinator's
-    // conformance rule (decision only after every prepare is covered) rides
-    // on these acks.
-    if (window_ == 1) {
-      wait_covered(seq);
-    } else if (window_target() > quorum_acked_cache_) {
-      wait_covered(window_target());
-    }
-    outcome = outcome_of(seq);
-  }
-  last_commit_outcome_ = outcome;
+  drain_live();
+  // Same bounded-window backpressure as commit_async: the coordinator's
+  // conformance rule (decision only after every prepare is covered) rides on
+  // these acks.
+  admit(seq);
   return CommitTicket{seq};
 }
 
@@ -867,10 +802,7 @@ bool RedoPipeline::decide_cross(std::uint64_t xid, bool commit) {
   std::uint8_t payload[9];
   std::memcpy(payload, &xid, 8);
   payload[8] = commit ? 1 : 0;
-  for (PeerSlot& p : peers_) {
-    if (!p.alive || fenced_) continue;
-    if (!link_send(p, FrameKind::kXDecide, payload, sizeof payload)) p.alive = false;
-  }
+  fan_out(FrameKind::kXDecide, payload, sizeof payload, /*txns=*/0);
   stats_.decides_shipped++;
   static metrics::Counter& decides_shipped = metrics::counter("repl.primary.decides_shipped");
   decides_shipped.add(1);
@@ -884,9 +816,7 @@ bool RedoPipeline::decide_cross(std::uint64_t xid, bool commit) {
     insert_history(it->second.seq, std::move(empty));
   }
   in_doubt_.erase(it);
-  for (PeerSlot& p : peers_) {
-    if (p.alive) drain(p);
-  }
+  drain_live();
   return true;
 }
 
@@ -902,17 +832,12 @@ bool RedoPipeline::sync_peer(PeerSlot& peer) {
     return false;
   }
   std::vector<std::uint8_t> chunk;
-  for (std::size_t off = 0; off < source_.db_size(); off += kDbChunkBytes) {
-    const std::size_t len = std::min(kDbChunkBytes, source_.db_size() - off);
-    chunk.clear();
-    chunk.resize(8);
-    const std::uint64_t off64 = off;
-    std::memcpy(chunk.data(), &off64, 8);
-    chunk.insert(chunk.end(), source_.db() + off, source_.db() + off + len);
-    if (!link_send(peer, FrameKind::kDbChunk, chunk.data(), chunk.size())) {
-      peer.alive = false;
-      return false;
-    }
+  for (std::size_t off = 0; off < size; off += kDbChunkBytes) {
+    // db() is read per chunk: a gathering Source (exec::SmpExecutor) rebuilds
+    // its image on each call, and that pace is what keeps an unbounded
+    // in-process carrier from buffering the whole image at once.
+    const std::size_t len = std::min(kDbChunkBytes, size - off);
+    if (!send_run(peer, FrameKind::kDbChunk, source_.db(), off, len, chunk)) return false;
   }
   peer.alive = true;
   return true;
@@ -1034,27 +959,16 @@ bool RedoPipeline::handle_rejoin(std::size_t peer, int timeout_ms) {
       p.alive = false;
       return false;
     }
-    if (frame->kind != FrameKind::kRejoinRequest || frame->payload.size() != 24) continue;
-    if (membership_ != nullptr && frame->epoch > epoch()) {
-      // The requester has seen a newer epoch than ours: we are the stale
-      // node here. Step aside instead of serving.
-      fence(frame->epoch);
-      return false;
+    if (frame->kind == FrameKind::kRejoinRequest && frame->payload.size() == 24) {
+      return serve_request(p, *frame);
     }
-    std::uint64_t seq, node, state_epoch;
-    std::memcpy(&seq, frame->payload.data(), 8);
-    std::memcpy(&node, frame->payload.data() + 8, 8);
-    std::memcpy(&state_epoch, frame->payload.data() + 16, 8);
-    return serve_rejoin(p, seq, node, state_epoch);
   }
 }
 
 bool RedoPipeline::send_heartbeat() {
   const std::uint64_t seq = shipped_watermark();
   for (PeerSlot& p : peers_) {
-    if (p.alive && !fenced_ && !link_send(p, FrameKind::kHeartbeat, &seq, 8)) {
-      p.alive = false;
-    }
+    send_live(p, FrameKind::kHeartbeat, &seq, 8);
     if (p.alive) drain(p);
   }
   return connection_alive();
@@ -1102,9 +1016,59 @@ void RedoApplier::maybe_request_resync(ReplicationLink& link) {
 }
 
 void RedoApplier::note_corrupt_skipped(ReplicationLink& link) {
-  stats_.corrupt_skipped++;
-  corrupt_skipped().add(1);
+  count_corrupt();
   maybe_request_resync(link);
+}
+
+// Each applier counter is bumped in its stats field and its registry
+// instrument together, here and nowhere else.
+void RedoApplier::count_corrupt() {
+  stats_.corrupt_skipped++;
+  static metrics::Counter& corrupt_skipped = metrics::counter("repl.backup.corrupt_skipped");
+  corrupt_skipped.add(1);
+}
+
+void RedoApplier::note_duplicate() {
+  stats_.duplicates_ignored++;
+  static metrics::Counter& duplicates_ignored =
+      metrics::counter("repl.backup.duplicates_ignored");
+  duplicates_ignored.add(1);
+}
+
+void RedoApplier::note_gap() {
+  stats_.gaps_detected++;
+  static metrics::Counter& gaps_detected = metrics::counter("repl.backup.gaps_detected");
+  gaps_detected.add(1);
+}
+
+void RedoApplier::note_applied(std::uint64_t batches) {
+  stats_.batches_applied += batches;
+  static metrics::Counter& batches_applied = metrics::counter("repl.backup.batches_applied");
+  batches_applied.add(batches);
+}
+
+void RedoApplier::note_resync() {
+  stats_.resyncs++;
+  static metrics::Counter& resyncs = metrics::counter("repl.backup.resyncs");
+  resyncs.add(1);
+}
+
+void RedoApplier::send_ack(ReplicationLink& link) {
+  link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
+}
+
+RedoApplier::SeqCheck RedoApplier::check_seq(std::uint64_t first, std::uint64_t last,
+                                             ReplicationLink* link, bool overlap_ok) {
+  if (last <= applied_seq_) {
+    note_duplicate();  // duplicate fault, delta overlap, or stale ring lap
+    return SeqCheck::kDuplicate;
+  }
+  if (first == applied_seq_ + 1 || (overlap_ok && first <= applied_seq_)) return SeqCheck::kNext;
+  // A unit before this one went missing (dropped, or skipped as corrupt):
+  // resync from the last good sequence instead of applying on top of a hole.
+  note_gap();
+  if (link != nullptr) maybe_request_resync(*link);
+  return SeqCheck::kGap;
 }
 
 RedoApplier::ReadResult RedoApplier::read_at_watermark(std::uint64_t off, std::uint32_t len,
@@ -1162,8 +1126,7 @@ void RedoApplier::on_ckpt_begin(const Frame& frame, ReplicationLink& link) {
   std::memcpy(&count, frame.payload.data() + 20, 4);
   if (seq <= applied_seq_) {
     // A replayed install start for state we already hold (duplicate fault).
-    stats_.duplicates_ignored++;
-    duplicates_ignored().add(1);
+    note_duplicate();
     return;
   }
   if (!image_complete() || size != db_size_) {
@@ -1187,8 +1150,7 @@ void RedoApplier::on_ckpt_chunk(const Frame& frame, ReplicationLink& link) {
   if (!ckpt_installing_) {
     // Begin lost (or install already aborted): the chunk is unanchored.
     // The End — or the next heartbeat — drives the re-request.
-    stats_.duplicates_ignored++;
-    duplicates_ignored().add(1);
+    note_duplicate();
     return;
   }
   if (frame.payload.size() < 8) {
@@ -1198,7 +1160,7 @@ void RedoApplier::on_ckpt_chunk(const Frame& frame, ReplicationLink& link) {
   std::uint64_t off;
   std::memcpy(&off, frame.payload.data(), 8);
   const std::size_t len = frame.payload.size() - 8;
-  if (off + len > db_size_) {
+  if (off > db_size_ || len > db_size_ - off) {  // no wrap for off near 2^64
     abort_checkpoint_install(link);
     return;
   }
@@ -1221,9 +1183,7 @@ void RedoApplier::on_ckpt_end(const Frame& frame, ReplicationLink& link) {
   std::memcpy(&crc, frame.payload.data() + 8, 4);
   if (!ckpt_installing_) {
     if (seq <= applied_seq_) {
-      // Duplicate End after a completed install.
-      stats_.duplicates_ignored++;
-      duplicates_ignored().add(1);
+      note_duplicate();  // duplicate End after a completed install
       return;
     }
     // The Begin never arrived: nothing buffered, re-request cleanly.
@@ -1287,39 +1247,27 @@ void RedoApplier::on_ckpt_end(const Frame& frame, ReplicationLink& link) {
   static metrics::Counter& checkpoint_installs =
       metrics::counter("repl.backup.checkpoint_installs");
   checkpoint_installs.add(1);
-  link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
+  send_ack(link);
 }
 
-void RedoApplier::apply_validated(const std::uint8_t* payload, std::size_t size) {
+void RedoApplier::write_batch(const std::uint8_t* payload, std::size_t size) {
   BatchReader reader(payload, size);
   RedoChunk chunk;
   while (reader.next(&chunk)) target_.write(chunk.db_off, chunk.data, chunk.len);
-  applied_seq_ = batch_seq(payload);
 }
 
-bool RedoApplier::apply_batch(const Frame& frame) {
-  // Validate the whole batch before touching the image so a malformed frame
-  // is never applied partially (the backup's image must only ever hold
-  // whole transactions).
-  if (!batch_valid(frame.payload.data(), frame.payload.size(), db_size_)) return false;
-  apply_validated(frame.payload.data(), frame.payload.size());
-  return true;
+void RedoApplier::apply_validated(const std::uint8_t* payload, std::size_t size) {
+  write_batch(payload, size);
+  applied_seq_ = batch_seq(payload);
 }
 
 bool RedoApplier::apply_decoded(std::uint64_t first_seq, std::uint64_t last_seq,
                                 const RedoChunk* chunks, std::size_t count,
                                 std::uint64_t epoch) {
   VREP_CHECK(first_seq <= last_seq);
-  if (last_seq <= applied_seq_) {
-    stats_.duplicates_ignored++;  // duplicate, replay, or stale ring lap
-    duplicates_ignored().add(1);
-    return false;
-  }
-  if (first_seq != applied_seq_ + 1) {
-    stats_.gaps_detected++;
-    gaps_detected().add(1);
-    return false;
-  }
+  // No in-band reply on the ring, and a unit overlapping the watermark is a
+  // gap: the ring applies a unit whole or not at all.
+  if (check_seq(first_seq, last_seq, nullptr) != SeqCheck::kNext) return false;
   // The carrier guaranteed the group arrived whole (ring group checksum /
   // frame CRC), so the [first_seq, last_seq] range applies atomically.
   for (std::size_t i = 0; i < count; ++i) {
@@ -1328,9 +1276,7 @@ bool RedoApplier::apply_decoded(std::uint64_t first_seq, std::uint64_t last_seq,
   }
   applied_seq_ = last_seq;
   state_epoch_ = epoch;
-  const std::uint64_t applied = last_seq - first_seq + 1;
-  stats_.batches_applied += applied;
-  batches_applied().add(applied);
+  note_applied(last_seq - first_seq + 1);
   return true;
 }
 
@@ -1351,18 +1297,8 @@ void RedoApplier::on_group_frame(const Frame& frame, ReplicationLink& link) {
   std::size_t sub_len;
   VREP_CHECK(group.next(&sub, &sub_len));
   const std::uint64_t first = batch_seq(sub);
-  const std::uint64_t last = first + group.count() - 1;
-  if (last <= applied_seq_) {
-    stats_.duplicates_ignored++;  // whole group replayed (duplicate fault)
-    duplicates_ignored().add(1);
-    return;
-  }
-  if (first > applied_seq_ + 1) {
-    // A frame before this group went missing: resync from the last good
-    // sequence instead of applying on top of a hole.
-    stats_.gaps_detected++;
-    gaps_detected().add(1);
-    maybe_request_resync(link);
+  if (check_seq(first, first + group.count() - 1, &link, /*overlap_ok=*/true) !=
+      SeqCheck::kNext) {
     return;
   }
   // Sub-batches at or below applied_seq_ are delta-replay overlap; the rest
@@ -1376,11 +1312,10 @@ void RedoApplier::on_group_frame(const Frame& frame, ReplicationLink& link) {
     }
   } while (group.next(&sub, &sub_len));
   state_epoch_ = frame.epoch;
-  stats_.batches_applied += applied;
-  batches_applied().add(applied);
+  note_applied(applied);
   // One ack per group frame: the primary's in-flight window drains at group
   // granularity, so per-group acks are what keep it moving.
-  link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
+  send_ack(link);
 }
 
 void RedoApplier::on_prepare_frame(const Frame& frame, ReplicationLink& link) {
@@ -1404,18 +1339,15 @@ void RedoApplier::on_prepare_frame(const Frame& frame, ReplicationLink& link) {
     return;
   }
   const std::uint64_t seq = batch_seq(batch);
-  if (seq <= applied_seq_) {
-    stats_.duplicates_ignored++;  // prepare replay (duplicate fault)
-    duplicates_ignored().add(1);
-    // Still ack: the coordinator blocks on coverage of this sequence.
-    link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
-    return;
-  }
-  if (seq != applied_seq_ + 1) {
-    stats_.gaps_detected++;
-    gaps_detected().add(1);
-    maybe_request_resync(link);
-    return;
+  switch (check_seq(seq, seq, &link)) {
+    case SeqCheck::kDuplicate:
+      // Still ack: the coordinator blocks on coverage of this sequence.
+      send_ack(link);
+      return;
+    case SeqCheck::kGap:
+      return;
+    case SeqCheck::kNext:
+      break;
   }
   in_doubt_[xid].assign(batch, batch + batch_len);
   // The prepare consumes its sequence — the bytes stay out of the image
@@ -1428,20 +1360,18 @@ void RedoApplier::on_prepare_frame(const Frame& frame, ReplicationLink& link) {
   prepares_buffered.add(1);
   // Ack every prepare immediately: the coordinator's phase-1 durability wait
   // rides on it, and prepares are rare enough that batching buys nothing.
-  link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
+  send_ack(link);
 }
 
 void RedoApplier::on_decide_frame(const Frame& frame) {
   if (frame.payload.size() != 9) {
-    stats_.corrupt_skipped++;
-    corrupt_skipped().add(1);
+    count_corrupt();
     return;
   }
   std::uint64_t xid;
   std::memcpy(&xid, frame.payload.data(), 8);
   if (!resolve_in_doubt(xid, frame.payload[8] != 0)) {
-    stats_.duplicates_ignored++;  // decision replay after resolution
-    duplicates_ignored().add(1);
+    note_duplicate();  // decision replay after resolution
   }
 }
 
@@ -1458,9 +1388,7 @@ bool RedoApplier::resolve_in_doubt(std::uint64_t xid, bool commit) {
   if (commit) {
     // The batch was validated at prepare; applied_seq_ already advanced past
     // it when the prepare consumed its sequence, so only the writes land.
-    BatchReader reader(it->second.data(), it->second.size());
-    RedoChunk chunk;
-    while (reader.next(&chunk)) target_.write(chunk.db_off, chunk.data, chunk.len);
+    write_batch(it->second.data(), it->second.size());
     stats_.decides_committed++;
     static metrics::Counter& decides_committed = metrics::counter("repl.backup.decides_committed");
     decides_committed.add(1);
@@ -1500,11 +1428,14 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
   switch (frame.kind) {
     case FrameKind::kHello: {
       if (frame.payload.size() != 16) return FrameResult::kCorrupt;
-      std::uint64_t size;
+      std::uint64_t size, seq;
       std::memcpy(&size, frame.payload.data(), 8);
-      std::memcpy(&applied_seq_, frame.payload.data() + 8, 8);
+      std::memcpy(&seq, frame.payload.data() + 8, 8);
+      // Refuse before adopting anything: a rejected hello must leave the
+      // image labelled with the sequence it actually holds.
       if (size > target_.capacity()) return FrameResult::kCorrupt;
       clear_checkpoint_install();  // a full sync supersedes any install
+      applied_seq_ = seq;
       db_size_ = size;
       image_next_off_ = 0;  // image transfer restarts
       state_epoch_ = frame.epoch;
@@ -1519,15 +1450,13 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
       std::memcpy(&off, frame.payload.data(), 8);
       const std::size_t len = frame.payload.size() - 8;
       if (off < image_next_off_) {
-        stats_.duplicates_ignored++;  // replayed chunk (duplicate fault)
-        duplicates_ignored().add(1);
+        note_duplicate();  // replayed chunk (duplicate fault)
         break;
       }
       if (off > image_next_off_) {
         // A chunk went missing: the image has a hole only a fresh full
         // sync can fill.
-        stats_.gaps_detected++;
-        gaps_detected().add(1);
+        note_gap();
         maybe_request_resync(link);
         break;
       }
@@ -1536,8 +1465,7 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
       image_next_off_ = off + len;
       if (image_complete() && awaiting_resync_) {
         awaiting_resync_ = false;
-        stats_.resyncs++;
-        resyncs().add(1);
+        note_resync();
       }
       break;
     }
@@ -1552,32 +1480,23 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
         note_corrupt_skipped(link);
         break;
       }
+      // The sequence is checked before the body is validated, so a replayed
+      // batch counts as a duplicate even when its bytes are damaged.
       const std::uint64_t seq = batch_seq(frame.payload.data());
-      if (seq <= applied_seq_) {
-        stats_.duplicates_ignored++;  // duplicate fault or delta overlap
-        duplicates_ignored().add(1);
+      if (check_seq(seq, seq, &link) != SeqCheck::kNext) break;
+      // Validate the whole batch before touching the image so a malformed
+      // frame is never applied partially (the backup's image must only ever
+      // hold whole transactions).
+      if (!batch_valid(frame.payload.data(), frame.payload.size(), db_size_)) {
+        note_corrupt_skipped(link);
         break;
       }
-      if (seq == applied_seq_ + 1) {
-        if (!apply_batch(frame)) {
-          note_corrupt_skipped(link);
-          break;
-        }
-        stats_.batches_applied++;
-        batches_applied().add(1);
-        state_epoch_ = frame.epoch;
-        // Acknowledge periodically (flow control / monitoring); per-batch
-        // acks would just pressure the primary's receive buffer.
-        if (applied_seq_ % 32 == 0) {
-          link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
-        }
-        break;
-      }
-      // Sequence gap: a batch was dropped or skipped as corrupt. Resync
-      // from the last good sequence instead of giving up.
-      stats_.gaps_detected++;
-      gaps_detected().add(1);
-      maybe_request_resync(link);
+      apply_validated(frame.payload.data(), frame.payload.size());
+      note_applied(1);
+      state_epoch_ = frame.epoch;
+      // Acknowledge periodically (flow control / monitoring); per-batch acks
+      // would just pressure the primary's receive buffer.
+      if (applied_seq_ % 32 == 0) send_ack(link);
       break;
     }
     case FrameKind::kRedoGroup:
@@ -1592,8 +1511,7 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
         // The replay that follows is contiguous from `from`; batches we
         // already hold are ignored as duplicates.
         awaiting_resync_ = false;
-        stats_.resyncs++;
-        resyncs().add(1);
+        note_resync();
       } else {
         // Unusable delta (should not happen): re-request from where we
         // actually are. A half-buffered install died with the serve that
@@ -1631,8 +1549,7 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
             abort_checkpoint_install(link);
             break;
           }
-          stats_.gaps_detected++;
-          gaps_detected().add(1);
+          note_gap();
           // Heartbeats double as the resync retry timer: if a previous
           // request (or the delta answering it) was itself lost, re-arm
           // instead of waiting forever on a reply that will never come.
@@ -1642,7 +1559,7 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
           // All caught up: acknowledge so the primary's acked watermark
           // converges even between the periodic batch acks (and so 2-safe
           // commit probes resolve immediately).
-          link.send(FrameKind::kConsumerAck, epoch(), &applied_seq_, 8);
+          send_ack(link);
         }
       }
       break;
@@ -1657,8 +1574,7 @@ RedoApplier::FrameResult RedoApplier::on_frame(const Frame& frame, ReplicationLi
       break;  // epoch already adopted above (if newer)
     default:
       // Unknown frame type with valid CRCs: version skew. Skip it.
-      stats_.corrupt_skipped++;
-      corrupt_skipped().add(1);
+      count_corrupt();
       break;
   }
   return FrameResult::kOk;

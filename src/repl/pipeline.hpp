@@ -396,27 +396,37 @@ class RedoPipeline {
     metrics::Gauge* acked = nullptr;      // repl.primary.peer<i>.acked_seq
   };
 
-  struct HistoryEntry {
+  // One transaction's redo, as retained in the history, the pending group
+  // and the in-doubt table.
+  struct SeqBatch {
     std::uint64_t seq;
     std::vector<std::uint8_t> batch;  // kRedoBatch payload (seq-prefixed)
   };
 
-  struct PendingTxn {
-    std::uint64_t seq;
-    std::vector<std::uint8_t> batch;  // kRedoBatch payload (seq-prefixed)
-  };
-
-  struct InDoubtTxn {
-    std::uint64_t seq;
-    std::vector<std::uint8_t> batch;  // kRedoBatch payload (seq-prefixed)
-  };
+  // When a wait for acknowledgments is over: a quorum covers the target
+  // (commits), or every live peer has reached it (a handoff drain).
+  enum class Cover : std::uint8_t { kQuorum, kEveryPeer };
 
   bool link_send(PeerSlot& peer, FrameKind kind, const void* payload, std::size_t len);
+  // Send to `peer` if it is live and we are not fenced; a failed send marks
+  // it down. True when the frame went out.
+  bool send_live(PeerSlot& peer, FrameKind kind, const void* payload, std::size_t len);
+  // send_live to every peer, adding `txns` to each accepting peer's shipped
+  // counter. True when at least one peer took the frame.
+  bool fan_out(FrameKind kind, const void* payload, std::size_t len, std::uint64_t txns);
   void fence(std::uint64_t newer_epoch);
   void drain(PeerSlot& peer);
-  // Flush + probe + receive until acks cover `target` or no live peer can
-  // still provide them (the latter resolves the whole open window degraded).
+  void drain_live();
+  // Resolve a just-issued ticket: durable at once when 1-safe, else wait
+  // under the bounded window. Records and returns the provisional outcome.
+  CommitOutcome admit(std::uint64_t seq);
+  // await_acks until a quorum covers `target`, with the wait's accounting;
+  // if coverage stays out of reach, the whole open window resolves degraded.
   void wait_covered(std::uint64_t target);
+  bool covered(std::uint64_t target, Cover rule) const;
+  // Flush + probe + receive until `rule` holds for `target` or no live peer
+  // below it is left; peers silent through the probe budget are marked down.
+  void await_acks(std::uint64_t target, Cover rule);
   // Encode the pending group as one frame (kRedoBatch for a single
   // transaction, kRedoGroup for 2+) and fan it out to every live peer.
   void ship_group();
@@ -425,11 +435,17 @@ class RedoPipeline {
   CommitOutcome outcome_of(std::uint64_t seq) const;
   std::uint64_t window_target() const;
   std::uint64_t shipped_watermark() const;
-  void push_history(std::uint64_t seq);
-  // Insert a decided cross-shard batch at its sequence position (later
-  // sequences may already be in the history when the decision lands).
+  // Retain a batch at its sequence position (a decided cross-shard batch can
+  // land behind later sequences), evicting the oldest past the capacity.
   void insert_history(std::uint64_t seq, std::vector<std::uint8_t> batch);
   bool sync_peer(PeerSlot& peer);
+  // Ship image bytes [off, off + len) as one `u64 off | bytes` frame of
+  // `kind`, staged in `chunk`; a failed send marks the peer down.
+  bool send_run(PeerSlot& peer, FrameKind kind, const std::uint8_t* image, std::uint64_t off,
+                std::size_t len, std::vector<std::uint8_t>& chunk);
+  // Answer a 24-byte kRejoinRequest; a requester from a newer epoch fences
+  // us instead.
+  bool serve_request(PeerSlot& peer, const Frame& frame);
   bool serve_rejoin(PeerSlot& peer, std::uint64_t backup_seq, std::uint64_t node_id,
                     std::uint64_t state_epoch);
   bool history_covers(std::uint64_t from_seq) const;
@@ -447,9 +463,9 @@ class RedoPipeline {
   Lineage lineage_;
   std::vector<PeerSlot> peers_;
   std::vector<std::uint8_t> batch_;  // staged redo payload for this txn
-  std::vector<PendingTxn> pending_group_;  // committed but not yet shipped
-  std::map<std::uint64_t, InDoubtTxn> in_doubt_;  // xid -> prepared, undecided
-  std::deque<HistoryEntry> history_;
+  std::vector<SeqBatch> pending_group_;  // committed but not yet shipped
+  std::map<std::uint64_t, SeqBatch> in_doubt_;  // xid -> prepared, undecided
+  std::deque<SeqBatch> history_;
   std::size_t history_bytes_ = 0;
   std::size_t history_capacity_;
   std::uint64_t fenced_by_epoch_ = 0;
@@ -615,7 +631,22 @@ class RedoApplier {
   bool resolve_in_doubt(std::uint64_t xid, bool commit);
 
  private:
-  bool apply_batch(const Frame& frame);
+  // Where a unit of sequences [first, last] stands against applied_seq_.
+  enum class SeqCheck : std::uint8_t { kDuplicate, kNext, kGap };
+  // Classify the unit, counting a duplicate or a gap; a gap also requests a
+  // resync through `link` when there is one. A unit overlapping the
+  // watermark is next only when `overlap_ok` (a group skips its replayed
+  // prefix), else a gap.
+  SeqCheck check_seq(std::uint64_t first, std::uint64_t last, ReplicationLink* link,
+                     bool overlap_ok = false);
+  void note_duplicate();
+  void note_gap();
+  void note_applied(std::uint64_t batches);
+  void note_resync();
+  void count_corrupt();
+  void send_ack(ReplicationLink& link);
+  // Write a validated batch's chunks into the image.
+  void write_batch(const std::uint8_t* payload, std::size_t size);
   void apply_validated(const std::uint8_t* payload, std::size_t size);
   void on_group_frame(const Frame& frame, ReplicationLink& link);
   void on_prepare_frame(const Frame& frame, ReplicationLink& link);

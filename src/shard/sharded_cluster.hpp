@@ -317,7 +317,17 @@ class ShardedCluster {
   const std::uint8_t* shard_db_ptr(ShardId id) const;
   CrossShardCoordinator::Participant shard_participant(ShardId id);
   void promote(Shard& shard);
+  // Backup 0 becomes the primary: its image, sequence and view take over
+  // the shard under a fresh pipeline whose lineage starts at the takeover
+  // floor. The caller re-adopts the remaining backups.
+  void promote_first_backup(Shard& shard);
+  // Give backup `slot` a fresh inline link on pipeline peer `slot` and adopt
+  // it into the primary's view.
+  void attach_backup(Shard& shard, std::size_t slot);
   void readopt_backups(Shard& shard);
+  // Every backup rejoins at the settled epoch; then the commit mode and
+  // quorum are reapplied for the new replica set.
+  void rejoin_backups(Shard& shard);
   bool decide_in_doubt(std::uint64_t xid) const;
   void record_resolution(std::uint64_t xid, bool commit);
   // Dual-write tracking: callers hold `shard`'s latch; marks an already-

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -1415,6 +1416,363 @@ TEST(CrossVersionTwoPC, PrepareAgainstAMidMigrationRangeAppliesOnceAtTheSource) 
                         });
   EXPECT_EQ(cluster.resolution_conflicts(), 0u);
   EXPECT_EQ(cluster.check_global_consistency(), "");
+}
+
+// ---- characterization: applier sequence checks ------------------------------
+//
+// Exact counts and exact replies for a next, duplicate, gap and corrupt frame
+// of every data-plane kind, so the sequence rules and the ack cadence of each
+// kind are pinned frame by frame (the fault suites only check them in bulk).
+
+// [u64 seq | u32 off | u32 len=8 | 8 bytes]: one 8-byte write at `off`.
+std::vector<std::uint8_t> batch_payload(std::uint64_t seq, std::uint32_t off = 0) {
+  std::vector<std::uint8_t> p(24, static_cast<std::uint8_t>(seq));
+  const std::uint32_t len = 8;
+  std::memcpy(p.data(), &seq, 8);
+  std::memcpy(p.data() + 8, &off, 4);
+  std::memcpy(p.data() + 12, &len, 4);
+  return p;
+}
+
+// A batch whose chunk claims more bytes than the payload holds.
+std::vector<std::uint8_t> corrupt_batch_payload(std::uint64_t seq) {
+  std::vector<std::uint8_t> p = batch_payload(seq);
+  const std::uint32_t lying_len = 1000;
+  std::memcpy(p.data() + 12, &lying_len, 4);
+  return p;
+}
+
+// [u32 count | { u32 len, batch }*] over sequences first..first+count-1.
+std::vector<std::uint8_t> group_payload(std::uint64_t first, std::uint32_t count) {
+  std::vector<std::uint8_t> p(4);
+  std::memcpy(p.data(), &count, 4);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::vector<std::uint8_t> b = batch_payload(first + i, 8 * i);
+    const std::uint32_t len = static_cast<std::uint32_t>(b.size());
+    const std::size_t at = p.size();
+    p.resize(at + 4);
+    std::memcpy(p.data() + at, &len, 4);
+    p.insert(p.end(), b.begin(), b.end());
+  }
+  return p;
+}
+
+// [u64 xid | batch]
+std::vector<std::uint8_t> prepare_payload(std::uint64_t xid,
+                                          const std::vector<std::uint8_t>& batch) {
+  std::vector<std::uint8_t> p(8 + batch.size());
+  std::memcpy(p.data(), &xid, 8);
+  std::memcpy(p.data() + 8, batch.data(), batch.size());
+  return p;
+}
+
+// A RedoApplier seeded at `seq` over a 4 KiB image, the link it answers
+// through, and the process-wide counters as they stood at construction (the
+// registry is shared across tests, so counters are checked as deltas).
+struct ApplierProbe {
+  using Counts = std::array<std::uint64_t, 6>;
+  using Sent = std::vector<std::pair<repl::FrameKind, std::uint64_t>>;
+
+  explicit ApplierProbe(std::uint64_t seq) : metric_base(metric_counts()) {
+    const std::vector<std::uint8_t> zeros(4096, 0);
+    applier.seed(zeros.data(), zeros.size(), seq, 1);
+  }
+
+  repl::RedoApplier::FrameResult feed(repl::FrameKind kind, std::vector<std::uint8_t> payload) {
+    return applier.on_frame(repl::Frame{kind, 1, std::move(payload)}, link);
+  }
+
+  // batches_applied, duplicates_ignored, gaps_detected, corrupt_skipped,
+  // resyncs, prepares_buffered.
+  Counts counts() const {
+    const auto& s = applier.stats();
+    return {s.batches_applied, s.duplicates_ignored, s.gaps_detected,
+            s.corrupt_skipped, s.resyncs,            s.prepares_buffered};
+  }
+  static Counts metric_counts() {
+    return {metrics::counter("repl.backup.batches_applied").value(),
+            metrics::counter("repl.backup.duplicates_ignored").value(),
+            metrics::counter("repl.backup.gaps_detected").value(),
+            metrics::counter("repl.backup.corrupt_skipped").value(),
+            metrics::counter("repl.backup.resyncs").value(),
+            metrics::counter("repl.backup.prepares_buffered").value()};
+  }
+  Counts metric_deltas() const {
+    Counts now = metric_counts();
+    for (std::size_t i = 0; i < now.size(); ++i) now[i] -= metric_base[i];
+    return now;
+  }
+
+  // What the applier sent back since the last call: each frame's kind and
+  // leading u64 (the acked sequence, or a rejoin request's from-sequence).
+  Sent take_sent() {
+    Sent out;
+    for (const auto& f : link.sent) {
+      std::uint64_t v = 0;
+      if (f.payload.size() >= 8) std::memcpy(&v, f.payload.data(), 8);
+      out.emplace_back(f.kind, v);
+    }
+    link.sent.clear();
+    return out;
+  }
+
+  MemTarget target{4096};
+  repl::RedoApplier applier{target};
+  ScriptedLink link;
+  Counts metric_base;
+};
+
+using K = repl::FrameKind;
+using Sent = ApplierProbe::Sent;
+
+TEST(ApplierCharacterization, RedoBatchNextDuplicateCorruptGap) {
+  ApplierProbe a(31);
+  // Next: applied, acked because 32 is a multiple of the 32-batch cadence.
+  a.feed(K::kRedoBatch, batch_payload(32));
+  EXPECT_EQ(a.applier.applied_seq(), 32u);
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{1, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kConsumerAck, 32}}));
+  // Next again: applied, off-cadence, so no ack.
+  a.feed(K::kRedoBatch, batch_payload(33));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{2, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(a.take_sent(), Sent{});
+  // Duplicate: ignored silently.
+  a.feed(K::kRedoBatch, batch_payload(33));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{2, 1, 0, 0, 0, 0}));
+  EXPECT_EQ(a.take_sent(), Sent{});
+  // A corrupt body at a duplicate sequence: the duplicate check runs first.
+  a.feed(K::kRedoBatch, corrupt_batch_payload(32));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{2, 2, 0, 0, 0, 0}));
+  EXPECT_EQ(a.take_sent(), Sent{});
+  // Corrupt at the next sequence: skipped, and a resync is requested.
+  a.feed(K::kRedoBatch, corrupt_batch_payload(34));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{2, 2, 0, 1, 0, 0}));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kRejoinRequest, 33}}));
+  // A payload shorter than its sequence field is corrupt too; the request
+  // above is still outstanding, so nothing more goes out.
+  a.feed(K::kRedoBatch, std::vector<std::uint8_t>(4));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{2, 2, 0, 2, 0, 0}));
+  EXPECT_EQ(a.take_sent(), Sent{});
+  // Gap: counted, no second request while one is outstanding.
+  a.feed(K::kRedoBatch, batch_payload(36));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{2, 2, 1, 2, 0, 0}));
+  EXPECT_EQ(a.take_sent(), Sent{});
+  EXPECT_EQ(a.applier.applied_seq(), 33u);
+  EXPECT_EQ(a.metric_deltas(), a.counts());
+}
+
+TEST(ApplierCharacterization, RedoBatchGapRequestsResync) {
+  ApplierProbe a(31);
+  a.feed(K::kRedoBatch, batch_payload(33));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{0, 0, 1, 0, 0, 0}));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kRejoinRequest, 31}}));
+  // The delta answering it completes the resync; the replay then applies.
+  std::vector<std::uint8_t> delta(16, 0);
+  const std::uint64_t from = 31, count = 2;
+  std::memcpy(delta.data(), &from, 8);
+  std::memcpy(delta.data() + 8, &count, 8);
+  a.feed(K::kRejoinDelta, delta);
+  a.feed(K::kRedoBatch, batch_payload(32));
+  a.feed(K::kRedoBatch, batch_payload(33));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{2, 0, 1, 0, 1, 0}));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kConsumerAck, 32}}));
+  EXPECT_EQ(a.metric_deltas(), a.counts());
+}
+
+TEST(ApplierCharacterization, RedoGroupNextDuplicateOverlapCorruptGap) {
+  ApplierProbe a(31);
+  // Next: both sub-batches apply, one ack per group.
+  a.feed(K::kRedoGroup, group_payload(32, 2));
+  EXPECT_EQ(a.applier.applied_seq(), 33u);
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{2, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kConsumerAck, 33}}));
+  // Whole group replayed: one duplicate, no ack.
+  a.feed(K::kRedoGroup, group_payload(32, 2));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{2, 1, 0, 0, 0, 0}));
+  EXPECT_EQ(a.take_sent(), Sent{});
+  // Overlap: only the sub-batch past the watermark applies; still acked.
+  a.feed(K::kRedoGroup, group_payload(33, 2));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{3, 1, 0, 0, 0, 0}));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kConsumerAck, 34}}));
+  // Corrupt at a duplicate sequence: groups validate first, so corrupt.
+  std::vector<std::uint8_t> bad = group_payload(32, 2);
+  bad.pop_back();
+  a.feed(K::kRedoGroup, bad);
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{3, 1, 0, 1, 0, 0}));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kRejoinRequest, 34}}));
+  // Gap: counted; the request above is still outstanding.
+  a.feed(K::kRedoGroup, group_payload(36, 2));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{3, 1, 1, 1, 0, 0}));
+  EXPECT_EQ(a.take_sent(), Sent{});
+  EXPECT_EQ(a.applier.applied_seq(), 34u);
+  EXPECT_EQ(a.metric_deltas(), a.counts());
+}
+
+TEST(ApplierCharacterization, RedoGroupGapRequestsResync) {
+  ApplierProbe a(31);
+  a.feed(K::kRedoGroup, group_payload(33, 2));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{0, 0, 1, 0, 0, 0}));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kRejoinRequest, 31}}));
+  EXPECT_EQ(a.metric_deltas(), a.counts());
+}
+
+TEST(ApplierCharacterization, PrepareNextDuplicateCorruptGap) {
+  ApplierProbe a(31);
+  // Next: buffered in-doubt, the sequence consumed, acked immediately.
+  a.feed(K::kXPrepare, prepare_payload(7, batch_payload(32)));
+  EXPECT_EQ(a.applier.applied_seq(), 32u);
+  EXPECT_EQ(a.applier.in_doubt(), 1u);
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{0, 0, 0, 0, 0, 1}));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kConsumerAck, 32}}));
+  // Duplicate: ignored but still acked (the coordinator waits on it).
+  a.feed(K::kXPrepare, prepare_payload(7, batch_payload(32)));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{0, 1, 0, 0, 0, 1}));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kConsumerAck, 32}}));
+  // Corrupt at a duplicate sequence: prepares validate first, so corrupt.
+  a.feed(K::kXPrepare, prepare_payload(7, corrupt_batch_payload(32)));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{0, 1, 0, 1, 0, 1}));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kRejoinRequest, 32}}));
+  // Too short to hold an xid and a sequence: corrupt.
+  a.feed(K::kXPrepare, std::vector<std::uint8_t>(12));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{0, 1, 0, 2, 0, 1}));
+  EXPECT_EQ(a.take_sent(), Sent{});
+  // Gap: counted, nothing buffered.
+  a.feed(K::kXPrepare, prepare_payload(8, batch_payload(34)));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{0, 1, 1, 2, 0, 1}));
+  EXPECT_EQ(a.take_sent(), Sent{});
+  EXPECT_EQ(a.applier.in_doubt(), 1u);
+  EXPECT_EQ(a.applier.applied_seq(), 32u);
+  EXPECT_EQ(a.metric_deltas(), a.counts());
+}
+
+TEST(ApplierCharacterization, PrepareGapRequestsResync) {
+  ApplierProbe a(31);
+  a.feed(K::kXPrepare, prepare_payload(8, batch_payload(33)));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{0, 0, 1, 0, 0, 0}));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kRejoinRequest, 31}}));
+  EXPECT_EQ(a.applier.in_doubt(), 0u);
+  EXPECT_EQ(a.metric_deltas(), a.counts());
+}
+
+TEST(ApplierCharacterization, RingUnitNextDuplicateGapAndOverlapRejected) {
+  ApplierProbe a(31);
+  const std::uint8_t bytes[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+  const repl::RedoChunk chunk{16, 8, bytes};
+  EXPECT_TRUE(a.applier.apply_decoded(32, 34, &chunk, 1, 1));
+  EXPECT_EQ(a.applier.applied_seq(), 34u);
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{3, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(a.target.mem[16], 1);
+  EXPECT_FALSE(a.applier.apply_decoded(33, 34, &chunk, 1, 1));  // stale lap
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{3, 1, 0, 0, 0, 0}));
+  // An overlapping range is not trimmed on the ring: it is a gap.
+  EXPECT_FALSE(a.applier.apply_decoded(34, 36, &chunk, 1, 1));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{3, 1, 1, 0, 0, 0}));
+  EXPECT_FALSE(a.applier.apply_decoded(36, 36, &chunk, 1, 1));
+  EXPECT_EQ(a.counts(), (ApplierProbe::Counts{3, 1, 2, 0, 0, 0}));
+  EXPECT_EQ(a.applier.applied_seq(), 34u);
+  EXPECT_EQ(a.take_sent(), Sent{}) << "the ring path answers nothing in-band";
+  EXPECT_EQ(a.metric_deltas(), a.counts());
+}
+
+TEST(ApplierCharacterization, OversizeHelloIsRejectedWithoutTouchingTheSequence) {
+  // A hello for a 1 MiB image into a 4 KiB target is refused, and the
+  // refusal must leave the replica's sequence where its image actually is:
+  // a later rejoin asks for a delta from applied_seq().
+  ApplierProbe a(10);
+  std::vector<std::uint8_t> hello(16);
+  const std::uint64_t size = 1 << 20, seq = 500;
+  std::memcpy(hello.data(), &size, 8);
+  std::memcpy(hello.data() + 8, &seq, 8);
+  EXPECT_EQ(a.feed(K::kHello, hello), repl::RedoApplier::FrameResult::kCorrupt);
+  EXPECT_EQ(a.applier.applied_seq(), 10u);
+  EXPECT_TRUE(a.applier.image_complete());
+  ASSERT_TRUE(a.applier.request_rejoin(a.link));
+  EXPECT_EQ(a.take_sent(), (Sent{{K::kRejoinRequest, 10}}));
+}
+
+TEST(ApplierCharacterization, WrappingCheckpointChunkOffsetAbortsTheInstall) {
+  // off + len wraps past 2^64 for an offset near the top of the range; the
+  // chunk must be refused, not buffered for the End's merged-CRC walk.
+  ApplierProbe a(10);
+  const std::vector<std::uint8_t> before = a.target.mem;
+  std::vector<std::uint8_t> begin(24);
+  const std::uint64_t seq = 20, size = 4096;
+  const std::uint32_t crc = 0, chunks = 1;
+  std::memcpy(begin.data(), &seq, 8);
+  std::memcpy(begin.data() + 8, &size, 8);
+  std::memcpy(begin.data() + 16, &crc, 4);
+  std::memcpy(begin.data() + 20, &chunks, 4);
+  a.feed(K::kCkptBegin, begin);
+  ASSERT_TRUE(a.applier.checkpoint_installing());
+
+  std::vector<std::uint8_t> chunk(8 + 16, 0xEE);
+  const std::uint64_t off = ~std::uint64_t{0} - 7;
+  std::memcpy(chunk.data(), &off, 8);
+  a.feed(K::kCkptChunk, chunk);
+
+  std::vector<std::uint8_t> end(12);
+  std::memcpy(end.data(), &seq, 8);
+  std::memcpy(end.data() + 8, &crc, 4);
+  a.feed(K::kCkptEnd, end);
+
+  EXPECT_EQ(a.applier.stats().checkpoint_aborts, 1u);
+  EXPECT_EQ(a.applier.stats().checkpoint_installs, 0u);
+  EXPECT_FALSE(a.applier.checkpoint_installing());
+  EXPECT_EQ(a.applier.applied_seq(), 10u);
+  EXPECT_EQ(a.target.mem, before);
+}
+
+// ---- characterization: drain_peers ------------------------------------------
+
+TEST(DrainPeers, TrueWhenEveryLivePeerAcksTheShippedWatermark) {
+  MemSource source(4096);
+  ScriptedLink p0, p1;
+  repl::RedoPipeline pipe(source, &p0);
+  ASSERT_EQ(pipe.add_peer(&p1), 1u);
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) commit_one(pipe, source, seq);
+  p0.sent.clear();
+  p1.sent.clear();
+  p0.recvs = p1.recvs = 0;
+  p0.push_ack(3);
+  p1.push_ack(3);
+  EXPECT_TRUE(pipe.drain_peers());
+  // One probe each carrying the watermark, answered at once.
+  EXPECT_EQ(p0.count(K::kHeartbeat), 1u);
+  EXPECT_EQ(p1.count(K::kHeartbeat), 1u);
+  EXPECT_EQ(p0.recvs, 1u);
+  EXPECT_EQ(p1.recvs, 1u);
+  EXPECT_TRUE(pipe.peer_alive(0));
+  EXPECT_TRUE(pipe.peer_alive(1));
+  EXPECT_EQ(pipe.peer_acked_seq(0), 3u);
+  EXPECT_EQ(pipe.peer_acked_seq(1), 3u);
+}
+
+TEST(DrainPeers, FalseWhenTheOnlyLivePeerStaysSilentPastTheProbeBudget) {
+  MemSource source(4096);
+  ScriptedLink link;  // never acks
+  repl::RedoPipeline pipe(source, &link);
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) commit_one(pipe, source, seq);
+  link.sent.clear();
+  link.recvs = 0;
+  EXPECT_FALSE(pipe.drain_peers());
+  EXPECT_FALSE(pipe.peer_alive(0)) << "the silent peer is marked down";
+  // The first probe plus one re-probe per timeout inside the 20-probe budget;
+  // the 21st timeout gives up.
+  EXPECT_EQ(link.count(K::kHeartbeat), 21u);
+  EXPECT_EQ(link.recvs, 21u);
+  EXPECT_EQ(pipe.stats().two_safe_degraded, 0u) << "a drain degrades no ticket";
+}
+
+TEST(DrainPeers, SilentPeerIsDroppedAndTheCaughtUpPeerCarriesTheDrain) {
+  MemSource source(4096);
+  ScriptedLink p0, p1;  // p1 never acks
+  repl::RedoPipeline pipe(source, &p0);
+  ASSERT_EQ(pipe.add_peer(&p1), 1u);
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) commit_one(pipe, source, seq);
+  p0.push_ack(3);
+  EXPECT_TRUE(pipe.drain_peers());
+  EXPECT_TRUE(pipe.peer_alive(0));
+  EXPECT_FALSE(pipe.peer_alive(1));
 }
 
 }  // namespace
