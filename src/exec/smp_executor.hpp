@@ -78,7 +78,6 @@ struct SmpConfig {
   std::uint64_t txns_per_worker = 10'000;
   // Replication knobs, applied to the pipeline (ignored without a link).
   bool two_safe = false;
-  unsigned quorum = 1;
   unsigned commit_window = 1;
   unsigned group_size = 1;
   // Staged-but-unsequenced transactions before workers block (backpressure

@@ -13,7 +13,6 @@
 
 #include "net/frame.hpp"
 #include "util/check.hpp"
-#include "util/crc32.hpp"
 #include "util/metrics.hpp"
 
 namespace vrep::net {
@@ -209,9 +208,9 @@ bool AsyncServer::parse_frames(Conn& conn) {
   while (conn.in.size() - consumed >= sizeof(FrameHeader)) {
     FrameHeader hdr;
     std::memcpy(&hdr, conn.in.data() + consumed, sizeof hdr);
-    if (frame_header_crc(hdr) != hdr.header_crc || hdr.len > kMaxFramePayload) {
-      // Same rule as TcpTransport::recv: the length field cannot be
-      // trusted, framing is lost for good — close the connection.
+    if (!frame_header_ok(hdr)) {
+      // Framing is lost for good (the rule of StreamTransport::recv): close
+      // the connection.
       stats_.conns_corrupt.fetch_add(1, std::memory_order_relaxed);
       static metrics::Counter& corrupt_headers = metrics::counter("net.async.corrupt_headers");
       corrupt_headers.add(1);
@@ -219,7 +218,7 @@ bool AsyncServer::parse_frames(Conn& conn) {
     }
     if (conn.in.size() - consumed < sizeof hdr + hdr.len) break;  // partial frame
     const std::uint8_t* payload = conn.in.data() + consumed + sizeof hdr;
-    if (Crc32::of(payload, hdr.len) != hdr.payload_crc) {
+    if (!frame_payload_ok(hdr, payload)) {
       // Payload corruption: the frame is whole, the stream stays aligned —
       // skip it (the client times out on the missing reply and retries).
       stats_.frames_skipped.fetch_add(1, std::memory_order_relaxed);
@@ -419,11 +418,15 @@ void AsyncServer::send_read_reply(std::uint64_t conn_id, std::uint64_t op_id,
                                   std::size_t len) {
   Conn* conn = find_conn(conn_id);
   if (conn == nullptr) return;
-  std::vector<std::uint8_t> payload(17 + len);
+  // Grown by insert, not sized up front: GCC 12 misreads a memcpy of `len`
+  // into a vector of 17 + len as unbounded (-Wstringop-overflow).
+  std::vector<std::uint8_t> payload;
+  payload.reserve(17 + len);
+  payload.resize(17);
   std::memcpy(payload.data(), &op_id, 8);
   std::memcpy(payload.data() + 8, &at_seq, 8);
   payload[16] = status;
-  if (len != 0) std::memcpy(payload.data() + 17, data, len);
+  payload.insert(payload.end(), data, data + len);
   enqueue(*conn, encode_frame(MsgType::kReadReply, epoch, payload.data(), payload.size()));
 }
 

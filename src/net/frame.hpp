@@ -1,14 +1,25 @@
-// Wire-frame layout shared by every framed byte-stream transport (TCP,
-// in-process loopback, and the fault injector that perturbs encoded frames).
+// The wire frame of every framed byte stream (TCP, in-process loopback, the
+// fault injector that perturbs encoded frames, and the AsyncServer's client
+// connections). Every rule about the frame lives here, once.
 //
 // Frame format (24-byte header, then payload):
 //   [u64 epoch | u32 payload_len | u32 payload_crc | u32 header_crc |
 //    u8 type | u8 pad[3]] payload
 //
-// The two CRCs split corruption into recoverable and fatal classes (see
-// transport.hpp); every transport that parses this layout must apply the
-// same rules so the protocol layer sees identical error semantics on all
-// backends.
+// Every frame carries the sender's membership epoch so the protocol layer
+// can fence stale-epoch traffic (split-brain defense; see
+// cluster/membership.hpp). Two CRCs split corruption into recoverable and
+// fatal classes:
+//   * header_crc (over epoch, payload_len, type): if frame_header_ok() fails,
+//     payload_len cannot be trusted and stream framing is lost — the reader
+//     closes the connection (kCorrupt, then disconnected). Recovery is a
+//     reconnect + rejoin.
+//   * payload_crc: if frame_payload_ok() fails the frame was read in full,
+//     so the stream stays aligned — the reader skips the frame and
+//     resynchronises in-band (kCorrupt, still connected).
+// No CRC covers `pad`. CRC verification also makes torn frames (killed
+// sender) detectable, mirroring the simulated ring's checksummed commit
+// markers.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +57,10 @@ inline std::uint32_t frame_header_crc(const FrameHeader& hdr) {
   return c.value();
 }
 
-// Encode one frame exactly as a transport's send() would put it on the wire.
-inline std::vector<std::uint8_t> encode_frame(MsgType type, std::uint64_t epoch,
-                                              const void* payload, std::size_t len) {
+// The header a sender puts in front of `payload`: CHECKs the payload bound,
+// then sets both CRCs.
+inline FrameHeader make_frame_header(MsgType type, std::uint64_t epoch, const void* payload,
+                                     std::size_t len) {
   VREP_CHECK(len <= kMaxFramePayload);
   FrameHeader hdr{};
   hdr.epoch = epoch;
@@ -56,6 +68,24 @@ inline std::vector<std::uint8_t> encode_frame(MsgType type, std::uint64_t epoch,
   hdr.type = static_cast<std::uint8_t>(type);
   hdr.payload_crc = Crc32::of(payload, len);
   hdr.header_crc = frame_header_crc(hdr);
+  return hdr;
+}
+
+// False: the length field cannot be trusted and framing is lost for good.
+inline bool frame_header_ok(const FrameHeader& hdr) {
+  return frame_header_crc(hdr) == hdr.header_crc && hdr.len <= kMaxFramePayload;
+}
+
+// False: the hdr.len payload bytes were read in full but are damaged; the
+// stream stays aligned and the frame is skipped.
+inline bool frame_payload_ok(const FrameHeader& hdr, const void* payload) {
+  return Crc32::of(payload, hdr.len) == hdr.payload_crc;
+}
+
+// Encode one frame exactly as a transport's send() puts it on the wire.
+inline std::vector<std::uint8_t> encode_frame(MsgType type, std::uint64_t epoch,
+                                              const void* payload, std::size_t len) {
+  const FrameHeader hdr = make_frame_header(type, epoch, payload, len);
   std::vector<std::uint8_t> frame(sizeof hdr + len);
   std::memcpy(frame.data(), &hdr, sizeof hdr);
   if (len > 0) std::memcpy(frame.data() + sizeof hdr, payload, len);

@@ -3,16 +3,16 @@
 // Two InprocTransport endpoints are cross-wired by pair(); each direction is
 // a mutex/condvar-protected byte stream carrying the exact encoded frame
 // bytes of net/frame.hpp. Shipping *bytes* rather than decoded messages is
-// deliberate: the receiving endpoint re-parses the stream with the same
-// header-CRC / payload-CRC rules as TcpTransport, so fault injection
+// deliberate: InprocTransport is a StreamTransport like TcpTransport, so the
+// same send()/recv() code frames and parses both, and fault injection
 // (bit-flips, torn frames via send_bytes) and the corrupt/closed error
-// semantics compose identically — only the copy through a socket is elided.
-//
-// Semantics mirror TcpTransport:
+// semantics are shared code, not a copy — only the copy through a socket is
+// elided. What is this backend's own:
 //   * close_peer() closes both directions; the peer drains buffered bytes,
 //     then sees kClosed (like TCP delivering queued data before EOF).
-//   * a header-CRC failure closes the connection (framing lost for good);
-//     a payload-CRC failure skips the frame and stays connected.
+//   * a header-CRC failure closes both directions too.
+//   * every finite timeout, zero included, waits on the condvar until the
+//     frame's deadline.
 //
 // Useful for single-process failover tests and the cross-backend conformance
 // suite, where spawning real sockets adds latency and flakiness for no
@@ -21,16 +21,17 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "net/transport.hpp"
 
 namespace vrep::net {
 
-class InprocTransport final : public Transport {
+class InprocTransport final : public StreamTransport {
  public:
   InprocTransport() = default;
   ~InprocTransport() override { close_peer(); }
@@ -41,11 +42,7 @@ class InprocTransport final : public Transport {
   // Re-pairing closed endpoints models a reconnect.
   static void pair(InprocTransport& a, InprocTransport& b);
 
-  bool send(MsgType type, std::uint64_t epoch, const void* payload,
-            std::size_t len) override;
   bool send_bytes(const void* bytes, std::size_t len) override;
-  std::optional<Message> recv(int timeout_ms) override;
-  TransportError last_error() const override { return error_; }
   bool connected() const override;
   void close_peer() override;
 
@@ -57,14 +54,15 @@ class InprocTransport final : public Transport {
     bool closed = false;
   };
 
-  // Blocking read of exactly `len` bytes from in_; false on timeout or when
-  // the stream is closed and drained (kClosed — a torn frame looks the same
-  // as a killed TCP sender).
-  bool read_fully(void* buf, std::size_t len, int timeout_ms);
+  bool read_fully(void* buf, std::size_t len, const Deadline& deadline) override;
+  bool write_frame(const FrameHeader& hdr, const void* payload) override;
+  void drop_stream() override { close_peer(); }
+  // Append `parts` to out_ under one lock, so a reader never sees part of
+  // them. False (kClosed) once the stream is closed.
+  bool append(std::initializer_list<std::pair<const void*, std::size_t>> parts);
 
   std::shared_ptr<Stream> in_;   // peer writes, we read
   std::shared_ptr<Stream> out_;  // we write, peer reads
-  TransportError error_ = TransportError::kNone;
 };
 
 }  // namespace vrep::net

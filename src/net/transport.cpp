@@ -15,11 +15,75 @@
 #include <limits>
 
 #include "net/frame.hpp"
-#include "util/check.hpp"
-#include "util/crc32.hpp"
 #include "util/metrics.hpp"
 
 namespace vrep::net {
+
+namespace {
+
+// timeout_ms from now; a negative timeout never expires.
+Deadline deadline_after(int timeout_ms) {
+  if (timeout_ms < 0) return std::nullopt;
+  return std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+}
+
+// The poll() timeout left before `deadline`: -1 without one, 0 once it has
+// passed.
+int poll_ms(const Deadline& deadline) {
+  if (!deadline.has_value()) return -1;
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                        *deadline - std::chrono::steady_clock::now())
+                        .count();
+  return static_cast<int>(std::clamp<long long>(left, 0, std::numeric_limits<int>::max()));
+}
+
+}  // namespace
+
+bool StreamTransport::send(MsgType type, std::uint64_t epoch, const void* payload,
+                           std::size_t len) {
+  // Built (and the payload bound CHECKed) before any stream state, so
+  // callers hit the bound deterministically.
+  const FrameHeader hdr = make_frame_header(type, epoch, payload, len);
+  if (!write_frame(hdr, payload)) return false;
+  static metrics::Counter& frames = metrics::counter("net.transport.frames_sent");
+  static metrics::Counter& bytes = metrics::counter("net.transport.bytes_sent");
+  frames.add(1);
+  bytes.add(sizeof hdr + len);
+  return true;
+}
+
+std::optional<Message> StreamTransport::recv(int timeout_ms) {
+  error_ = TransportError::kNone;
+  const Deadline deadline = deadline_after(timeout_ms);
+  FrameHeader hdr;
+  if (!read_fully(&hdr, sizeof hdr, deadline)) return std::nullopt;
+  if (!frame_header_ok(hdr)) {
+    // Framing is lost for good. Close so the peer reconnects and the
+    // protocol layer resyncs via rejoin.
+    error_ = TransportError::kCorrupt;
+    static metrics::Counter& corrupt_headers = metrics::counter("net.transport.corrupt_headers");
+    corrupt_headers.add(1);
+    drop_stream();
+    return std::nullopt;
+  }
+  Message msg;
+  msg.type = static_cast<MsgType>(hdr.type);
+  msg.epoch = hdr.epoch;
+  msg.payload.resize(hdr.len);
+  if (!read_fully(msg.payload.data(), hdr.len, deadline)) return std::nullopt;
+  if (!frame_payload_ok(hdr, msg.payload.data())) {
+    // Payload consumed in full: the stream stays aligned, skip in-band.
+    error_ = TransportError::kCorrupt;
+    static metrics::Counter& corrupt_payloads = metrics::counter("net.transport.corrupt_payloads");
+    corrupt_payloads.add(1);
+    return std::nullopt;
+  }
+  static metrics::Counter& frames = metrics::counter("net.transport.frames_received");
+  static metrics::Counter& bytes = metrics::counter("net.transport.bytes_received");
+  frames.add(1);
+  bytes.add(sizeof hdr + msg.payload.size());
+  return msg;
+}
 
 TcpTransport::~TcpTransport() {
   close_peer();
@@ -44,10 +108,10 @@ void TcpTransport::close_peer() {
   while (std::chrono::steady_clock::now() < give_up && ::poll(&pfd, 1, kQuietMs) > 0 &&
          ::recv(fd_, sink, sizeof sink, 0) > 0) {
   }
-  drop_peer();
+  drop_stream();
 }
 
-void TcpTransport::drop_peer() {
+void TcpTransport::drop_stream() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -76,28 +140,17 @@ bool TcpTransport::accept_peer(int timeout_ms) {
   // One absolute deadline for the whole accept (the same pattern read_fully
   // uses): an EINTR — poll() or accept() interrupted by a signal — retries
   // against the remaining budget instead of being misreported as a timeout.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (timeout_ms >= 0) {
-    deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  }
+  const Deadline deadline = deadline_after(timeout_ms);
   for (;;) {
-    int wait_ms = -1;
-    if (deadline.has_value()) {
-      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-                            *deadline - std::chrono::steady_clock::now())
-                            .count();
-      wait_ms = static_cast<int>(
-          std::clamp<long long>(left, 0, std::numeric_limits<int>::max()));
-    }
     pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, wait_ms);
+    const int ready = ::poll(&pfd, 1, poll_ms(deadline));
     if (ready == 0) {
-      error_ = Error::kTimeout;  // only a genuinely silent socket is a timeout
+      error_ = TransportError::kTimeout;  // only a genuinely silent socket is a timeout
       return false;
     }
     if (ready < 0) {
       if (errno == EINTR) continue;
-      error_ = Error::kClosed;  // real poll failure, distinct from kTimeout
+      error_ = TransportError::kClosed;  // real poll failure, distinct from kTimeout
       return false;
     }
     fd_ = ::accept(listen_fd_, nullptr, nullptr);
@@ -105,12 +158,12 @@ bool TcpTransport::accept_peer(int timeout_ms) {
     // The pending connection may have been aborted between poll and accept,
     // or the accept itself interrupted; both leave the listener healthy.
     if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN) continue;
-    error_ = Error::kClosed;
+    error_ = TransportError::kClosed;
     return false;
   }
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  error_ = Error::kNone;
+  error_ = TransportError::kNone;
   static metrics::Counter& accepts = metrics::counter("net.transport.accepts");
   accepts.add(1);
   return true;
@@ -139,26 +192,23 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
       // Handshake in flight: wait for writability within the budget, then
       // read the outcome from SO_ERROR.
       for (;;) {
-        const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-                              deadline - std::chrono::steady_clock::now())
-                              .count();
-        if (left <= 0) {
-          drop_peer();
-          error_ = Error::kTimeout;
+        const int wait_ms = poll_ms(deadline);
+        if (wait_ms == 0) {
+          drop_stream();
+          error_ = TransportError::kTimeout;
           return false;
         }
         pollfd pfd{fd_, POLLOUT, 0};
-        const int ready = ::poll(&pfd, 1, static_cast<int>(std::clamp<long long>(
-                                              left, 0, std::numeric_limits<int>::max())));
+        const int ready = ::poll(&pfd, 1, wait_ms);
         if (ready < 0) {
           if (errno == EINTR) continue;
-          drop_peer();
-          error_ = Error::kClosed;
+          drop_stream();
+          error_ = TransportError::kClosed;
           return false;
         }
         if (ready == 0) {  // budget spent mid-handshake (blackholed peer)
-          drop_peer();
-          error_ = Error::kTimeout;
+          drop_stream();
+          error_ = TransportError::kTimeout;
           return false;
         }
         int so_error = 0;
@@ -175,7 +225,7 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
       if (flags >= 0) ::fcntl(fd_, F_SETFL, flags & ~O_NONBLOCK);
       const int one = 1;
       ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      error_ = Error::kNone;
+      error_ = TransportError::kNone;
       static metrics::Counter& connects = metrics::counter("net.transport.connects");
       connects.add(1);
       return true;
@@ -191,13 +241,8 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
         std::chrono::microseconds(50'000));
     ::usleep(static_cast<unsigned>(nap.count()));
   }
-  error_ = Error::kTimeout;
+  error_ = TransportError::kTimeout;
   return false;
-}
-
-std::vector<std::uint8_t> TcpTransport::encode_frame(MsgType type, std::uint64_t epoch,
-                                                     const void* payload, std::size_t len) {
-  return vrep::net::encode_frame(type, epoch, payload, len);
 }
 
 bool TcpTransport::send_bytes(const void* bytes, std::size_t len) {
@@ -208,13 +253,13 @@ bool TcpTransport::send_bytes(const void* bytes, std::size_t len) {
     const ssize_t wrote = ::send(fd_, p + sent, len - sent, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) continue;
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     if (wrote == 0) {
       // Peer closed. errno is stale here and must not be consulted — a
       // leftover EINTR from an earlier call would spin this loop forever.
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     sent += static_cast<std::size_t>(wrote);
@@ -222,21 +267,11 @@ bool TcpTransport::send_bytes(const void* bytes, std::size_t len) {
   return true;
 }
 
-bool TcpTransport::send(MsgType type, std::uint64_t epoch, const void* payload,
-                        std::size_t len) {
-  // Mirror the receive-side frame bound: hdr.len is u32, so a larger payload
-  // would silently truncate and corrupt framing at the receiver. Checked
-  // before any socket state so callers hit it deterministically.
-  VREP_CHECK(len <= kMaxFramePayload);
+bool TcpTransport::write_frame(const FrameHeader& hdr, const void* payload) {
   if (fd_ < 0) return false;
-  FrameHeader hdr{};
-  hdr.epoch = epoch;
-  hdr.len = static_cast<std::uint32_t>(len);
-  hdr.type = static_cast<std::uint8_t>(type);
-  hdr.payload_crc = Crc32::of(payload, len);
-  hdr.header_crc = frame_header_crc(hdr);
-  iovec iov[2] = {{&hdr, sizeof hdr}, {const_cast<void*>(payload), len}};
-  std::size_t total = sizeof hdr + len;
+  iovec iov[2] = {{const_cast<FrameHeader*>(&hdr), sizeof hdr},
+                  {const_cast<void*>(payload), hdr.len}};
+  const std::size_t total = sizeof hdr + hdr.len;
   std::size_t sent = 0;
   while (sent < total) {
     msghdr msg{};
@@ -259,105 +294,50 @@ bool TcpTransport::send(MsgType type, std::uint64_t epoch, const void* payload,
     const ssize_t wrote = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) continue;
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     if (wrote == 0) {
       // Peer closed; errno is stale for a zero return (see send_bytes).
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     sent += static_cast<std::size_t>(wrote);
   }
-  static metrics::Counter& frames = metrics::counter("net.transport.frames_sent");
-  static metrics::Counter& bytes = metrics::counter("net.transport.bytes_sent");
-  frames.add(1);
-  bytes.add(total);
   return true;
 }
 
-bool TcpTransport::read_fully(void* buf, std::size_t len,
-                              const std::optional<std::chrono::steady_clock::time_point>& deadline) {
+bool TcpTransport::read_fully(void* buf, std::size_t len, const Deadline& deadline) {
   auto* p = static_cast<std::uint8_t*>(buf);
   std::size_t got = 0;
   while (got < len) {
-    // Budget against one absolute deadline shared by every poll of this
-    // recv(): a peer trickling one byte per window can no longer restart
-    // the timeout with each byte and stall the receiver forever.
-    int wait_ms = -1;
-    if (deadline.has_value()) {
-      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-                            *deadline - std::chrono::steady_clock::now())
-                            .count();
-      // An expired budget still polls once at zero: recv(timeout_ms=0) is
-      // the non-blocking ack-drain idiom and must deliver data that has
-      // already arrived. Only an actually-unready socket is a timeout.
-      wait_ms = static_cast<int>(
-          std::clamp<long long>(left, 0, std::numeric_limits<int>::max()));
-    }
+    // An expired budget still polls once at zero: recv(timeout_ms=0) is the
+    // non-blocking ack-drain idiom and must deliver data that has already
+    // arrived. Only an actually-unready socket is a timeout.
     pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, wait_ms);
+    const int ready = ::poll(&pfd, 1, poll_ms(deadline));
     if (ready == 0) {
-      error_ = Error::kTimeout;
+      error_ = TransportError::kTimeout;
       return false;
     }
     if (ready < 0) {
       if (errno == EINTR) continue;
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     const ssize_t n = ::read(fd_, p + got, len - got);
     if (n == 0) {
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     if (n < 0) {
       if (errno == EINTR) continue;
-      error_ = Error::kClosed;
+      error_ = TransportError::kClosed;
       return false;
     }
     got += static_cast<std::size_t>(n);
   }
   return true;
-}
-
-std::optional<Message> TcpTransport::recv(int timeout_ms) {
-  error_ = Error::kNone;
-  // One overall deadline for the whole frame (header + payload); -1 waits
-  // forever, as before.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (timeout_ms >= 0) {
-    deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  }
-  FrameHeader hdr;
-  if (!read_fully(&hdr, sizeof hdr, deadline)) return std::nullopt;
-  if (frame_header_crc(hdr) != hdr.header_crc || hdr.len > kMaxFramePayload) {
-    // The length field cannot be trusted: framing is lost for good. Close so
-    // the peer reconnects and the protocol layer resyncs via rejoin.
-    error_ = Error::kCorrupt;
-    static metrics::Counter& corrupt_headers = metrics::counter("net.transport.corrupt_headers");
-    corrupt_headers.add(1);
-    drop_peer();
-    return std::nullopt;
-  }
-  Message msg;
-  msg.type = static_cast<MsgType>(hdr.type);
-  msg.epoch = hdr.epoch;
-  msg.payload.resize(hdr.len);
-  if (!read_fully(msg.payload.data(), hdr.len, deadline)) return std::nullopt;
-  if (Crc32::of(msg.payload.data(), msg.payload.size()) != hdr.payload_crc) {
-    // Payload bytes were consumed in full, so the stream stays aligned; the
-    // receiver may skip this frame and resynchronise in-band.
-    error_ = Error::kCorrupt;
-    static metrics::Counter& corrupt_payloads = metrics::counter("net.transport.corrupt_payloads");
-    corrupt_payloads.add(1);
-    return std::nullopt;
-  }
-  static metrics::Counter& frames = metrics::counter("net.transport.frames_received");
-  static metrics::Counter& bytes = metrics::counter("net.transport.bytes_received");
-  frames.add(1);
-  bytes.add(sizeof hdr + msg.payload.size());
-  return msg;
 }
 
 }  // namespace vrep::net

@@ -1,28 +1,12 @@
 // Byte-stream transport with message framing, used to emulate the SAN's
 // write-through channel over TCP (per DESIGN.md: we have no Memory Channel
 // hardware, so the two-process deployment ships the same redo packet stream
-// over a socket).
-//
-// Frame format (24-byte header, then payload):
-//   [u64 epoch | u32 payload_len | u32 payload_crc | u32 header_crc |
-//    u8 type | u8 pad[3]] payload
-//
-// Every frame carries the sender's membership epoch so the protocol layer
-// can fence stale-epoch traffic (split-brain defense; see
-// cluster/membership.hpp). Two CRCs split corruption into recoverable and
-// fatal classes:
-//   * header_crc (over epoch, payload_len, type): if it fails, payload_len
-//     cannot be trusted and stream framing is lost — the transport closes
-//     the connection (Error::kCorrupt, then disconnected). Recovery is a
-//     reconnect + rejoin.
-//   * payload_crc: if it fails the frame was read in full, so the stream
-//     stays aligned — the receiver can skip the frame and resynchronise
-//     in-band (Error::kCorrupt, still connected).
-// CRC verification also makes torn frames (killed sender) detectable,
-// mirroring the simulated ring's checksummed commit markers.
+// over a socket). The frame format, its two CRCs and what a failure of each
+// means are described once, in net/frame.hpp.
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -91,12 +75,39 @@ class Transport {
   virtual bool send_bytes(const void* bytes, std::size_t len) = 0;
 };
 
+struct FrameHeader;  // net/frame.hpp
+
+// An absolute time limit; nullopt waits forever.
+using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+// A framed byte stream. send() and recv() apply the frame rules of
+// net/frame.hpp and keep the net.transport.* frame counters, once for every
+// backend; a subclass only moves bytes.
+class StreamTransport : public Transport {
+ public:
+  bool send(MsgType type, std::uint64_t epoch, const void* payload,
+            std::size_t len) final;
+  // One deadline bounds the whole frame, header and payload.
+  std::optional<Message> recv(int timeout_ms) final;
+  TransportError last_error() const final { return error_; }
+
+ protected:
+  // Read exactly `len` bytes by `deadline`. On false, error_ says why
+  // (kTimeout, or kClosed: a torn frame looks the same as EOF).
+  virtual bool read_fully(void* buf, std::size_t len, const Deadline& deadline) = 0;
+  // Write the header and its hdr.len payload bytes as one frame. False on a
+  // broken connection.
+  virtual bool write_frame(const FrameHeader& hdr, const void* payload) = 0;
+  // Close at once: framing is lost for good.
+  virtual void drop_stream() = 0;
+
+  TransportError error_ = TransportError::kNone;
+};
+
 // Blocking, single-peer TCP transport. Deliberately minimal: the examples
 // and integration tests run primary and backup as two local processes.
-class TcpTransport final : public Transport {
+class TcpTransport final : public StreamTransport {
  public:
-  using Error = TransportError;  // legacy spelling (TcpTransport::Error)
-
   TcpTransport() = default;
   ~TcpTransport() override;
   TcpTransport(const TcpTransport&) = delete;
@@ -116,31 +127,20 @@ class TcpTransport final : public Transport {
   // Lingering close: the peer still reads every byte we sent. Returns once
   // the peer has closed too or stayed quiet for 20 ms, within 250 ms.
   void close_peer() override;
-
-  bool send(MsgType type, std::uint64_t epoch, const void* payload,
-            std::size_t len) override;
-  std::optional<Message> recv(int timeout_ms) override;
-  Error last_error() const override { return error_; }
-
-  // Encode one frame exactly as send() would put it on the wire (legacy
-  // spelling; the canonical encoder is net::encode_frame in frame.hpp).
-  static std::vector<std::uint8_t> encode_frame(MsgType type, std::uint64_t epoch,
-                                                const void* payload, std::size_t len);
   bool send_bytes(const void* bytes, std::size_t len) override;
 
  private:
-  // Read exactly `len` bytes, honoring one absolute deadline (nullopt =
-  // wait forever). recv() shares the same deadline between its header and
-  // payload reads so the whole frame is bounded by a single budget.
-  bool read_fully(void* buf, std::size_t len,
-                  const std::optional<std::chrono::steady_clock::time_point>& deadline);
+  // Polls against the one deadline, so a peer trickling one byte per window
+  // cannot restart the budget with each byte.
+  bool read_fully(void* buf, std::size_t len, const Deadline& deadline) override;
+  bool write_frame(const FrameHeader& hdr, const void* payload) override;
   // Close at once, without close_peer()'s linger: for a connect that never
   // completed (its deadline must hold) or a stream whose framing is lost.
-  void drop_peer();
+  void drop_stream() override;
+
   int listen_fd_ = -1;
   int fd_ = -1;
   std::uint16_t port_ = 0;
-  Error error_ = Error::kNone;
 };
 
 }  // namespace vrep::net

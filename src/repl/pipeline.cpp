@@ -149,14 +149,6 @@ void RedoPipeline::remove_peer(std::size_t peer) {
   recompute_quorum_acked();
 }
 
-std::size_t RedoPipeline::live_peers() const {
-  std::size_t n = 0;
-  for (const PeerSlot& p : peers_) {
-    if (p.alive) n++;
-  }
-  return n;
-}
-
 bool RedoPipeline::connection_alive() const {
   for (const PeerSlot& p : peers_) {
     if (p.alive) return true;

@@ -208,7 +208,6 @@ class RedoPipeline {
   std::size_t peer_count() const { return peers_.size(); }
   bool peer_alive(std::size_t peer) const { return peers_[peer].alive; }
   std::uint64_t peer_acked_seq(std::size_t peer) const { return peers_[peer].acked_seq; }
-  std::size_t live_peers() const;
 
   // ---- staging + commit -------------------------------------------------
   void begin();
@@ -291,9 +290,6 @@ class RedoPipeline {
   void set_commit_window(unsigned w);
   unsigned commit_window() const { return window_; }
 
-  // Highest sequence actually handed to the carriers (trailing transactions
-  // of an unshipped group sit above this).
-  std::uint64_t shipped_seq() const { return shipped_seq_; }
   // Sequence of the most recent commit_async/prepare_cross (0 before the
   // first).
   std::uint64_t last_ticket_seq() const { return last_ticket_seq_; }

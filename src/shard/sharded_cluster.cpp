@@ -22,6 +22,10 @@ namespace {
 // shards_ never reallocates, so concurrent readers can index it while
 // add_shard appends (the published count is live_shards_).
 constexpr unsigned kMaxShardGrowth = 8;
+// Decision ring slots at the tail of each shard's region.
+constexpr std::size_t kDecisionSlots = 64;
+// Redo history each shard primary keeps for delta rejoins.
+constexpr std::size_t kRedoHistoryBytes = 1u << 20;
 
 // The deterministic inline-delivery loopback carrier: one object per
 // (primary, backup) pair. send() delivers the frame to the applier
@@ -189,14 +193,13 @@ void ShardedCluster::note_write(ShardId shard, std::uint64_t off) {
 
 ShardedCluster::ShardedCluster(const ShardedConfig& config)
     : config_(config),
-      workload_bytes_(config.shard_db_size - config.decision_slots * DecisionLog::kSlotBytes),
+      workload_bytes_(config.shard_db_size - kDecisionSlots * DecisionLog::kSlotBytes),
       map_(ShardMap::uniform(config.shards)),
       workload_(workload_bytes_) {
   VREP_CHECK(config_.shards >= 1);
-  VREP_CHECK(config_.decision_slots >= 2);
   VREP_CHECK(workload_bytes_ > 0 && workload_bytes_ < config_.shard_db_size);
   coordinator_ = std::make_unique<CrossShardCoordinator>(
-      DecisionLog(workload_bytes_, config_.decision_slots));
+      DecisionLog(workload_bytes_, kDecisionSlots));
 
   shards_.reserve(config_.shards + kMaxShardGrowth);
   for (unsigned i = 0; i < config_.shards; ++i) {
@@ -215,7 +218,7 @@ std::unique_ptr<ShardedCluster::Shard> ShardedCluster::build_shard(ShardId id) {
   shard->membership = std::make_unique<cluster::Membership>(0, cluster::Role::kPrimary);
   shard->pipeline = std::make_unique<repl::RedoPipeline>(
       shard->source, nullptr, shard->membership.get(), repl::RedoPipeline::Lineage{0, 0},
-      config_.redo_history_bytes);
+      kRedoHistoryBytes);
   for (unsigned b = 0; b < config_.backups_per_shard; ++b) {
     shard->backups.push_back(
         std::make_unique<Shard::Backup>(static_cast<int>(b) + 1, config_.shard_db_size));
@@ -575,7 +578,7 @@ void ShardedCluster::promote_first_backup(Shard& s) {
   s.membership = std::move(winner->membership);
   s.pipeline = std::make_unique<repl::RedoPipeline>(
       s.source, nullptr, s.membership.get(),
-      repl::RedoPipeline::Lineage{prev_epoch, s.committed}, config_.redo_history_bytes);
+      repl::RedoPipeline::Lineage{prev_epoch, s.committed}, kRedoHistoryBytes);
   s.primary_alive = true;
 }
 

@@ -16,7 +16,7 @@
 // Per-shard database layout:
 //
 //   [ Debit-Credit records + audit ring  |  decision ring (16 B slots) ]
-//    `workload_bytes()` bytes               decision_slots * 16 bytes
+//    `workload_bytes()` bytes               64 slots * 16 bytes
 //
 // The decision ring belongs to the HOME shard of a cross-shard transaction
 // and is written by the coordinator as part of the home commit, so the
@@ -76,10 +76,8 @@ struct ShardedConfig {
   unsigned backups_per_shard = 1;
   // Per-shard database region: workload records below, decision ring tail.
   std::size_t shard_db_size = 256u << 10;
-  std::size_t decision_slots = 64;
   bool two_safe = true;
   unsigned quorum = 1;
-  std::size_t redo_history_bytes = 1u << 20;
 };
 
 // One transaction's routing decision + randomized picks. `plan` indexes are

@@ -422,7 +422,7 @@ TEST(AsyncServer, MidBatchProtocolViolationClosesTheConnNotTheServer) {
   // ticket still resolves inside the server and is dropped on the floor
   // (reply-to-a-dead-conn path).
   EXPECT_FALSE(recv_commit_reply(client, 2000).has_value());
-  EXPECT_EQ(client.last_error(), net::TcpTransport::Error::kClosed);
+  EXPECT_EQ(client.last_error(), net::TransportError::kClosed);
   EXPECT_EQ(server.stats().commits_submitted.load(), 1u)
       << "the frame behind the violation must never dispatch";
 

@@ -74,14 +74,14 @@ TEST(Transport, PayloadCorruptionIsSkippableInStream) {
   // frame.
   LoopbackPair pair;
   const char good[] = "intact";
-  auto bad = TcpTransport::encode_frame(MsgType::kRedoBatch, 1, good, sizeof good);
+  auto bad = encode_frame(MsgType::kRedoBatch, 1, good, sizeof good);
   bad.back() ^= 0x01;  // flip a payload bit; header CRC still matches
   ASSERT_TRUE(pair.client.send_bytes(bad.data(), bad.size()));
   ASSERT_TRUE(pair.client.send(MsgType::kHeartbeat, 1, good, sizeof good));
 
   auto first = pair.server.recv(1000);
   EXPECT_FALSE(first.has_value());
-  EXPECT_EQ(pair.server.last_error(), TcpTransport::Error::kCorrupt);
+  EXPECT_EQ(pair.server.last_error(), TransportError::kCorrupt);
   EXPECT_TRUE(pair.server.connected());
   auto second = pair.server.recv(1000);
   ASSERT_TRUE(second.has_value());
@@ -93,12 +93,12 @@ TEST(Transport, HeaderCorruptionClosesTheStream) {
   // is lost for good: the transport reports kCorrupt and disconnects.
   LoopbackPair pair;
   const char payload[] = "doomed";
-  auto frame = TcpTransport::encode_frame(MsgType::kRedoBatch, 1, payload, sizeof payload);
+  auto frame = encode_frame(MsgType::kRedoBatch, 1, payload, sizeof payload);
   frame[8] ^= 0x40;  // flip a bit in the length field
   ASSERT_TRUE(pair.client.send_bytes(frame.data(), frame.size()));
   auto msg = pair.server.recv(1000);
   EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TcpTransport::Error::kCorrupt);
+  EXPECT_EQ(pair.server.last_error(), TransportError::kCorrupt);
   EXPECT_FALSE(pair.server.connected());
 }
 
@@ -108,19 +108,19 @@ TEST(Transport, TornFrameReportsClosedNotGarbage) {
   LoopbackPair pair;
   std::vector<std::uint8_t> payload(4096, 0xab);
   const auto frame =
-      TcpTransport::encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
+      encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
   ASSERT_TRUE(pair.client.send_bytes(frame.data(), frame.size() / 2));
   pair.client.close_peer();
   auto msg = pair.server.recv(1000);
   EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TcpTransport::Error::kClosed);
+  EXPECT_EQ(pair.server.last_error(), TransportError::kClosed);
 }
 
 TEST(Transport, RecvTimesOutWhenSilent) {
   LoopbackPair pair;
   auto msg = pair.server.recv(50);
   EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TcpTransport::Error::kTimeout);
+  EXPECT_EQ(pair.server.last_error(), TransportError::kTimeout);
 }
 
 TEST(Transport, ClosedPeerIsDetected) {
@@ -128,7 +128,7 @@ TEST(Transport, ClosedPeerIsDetected) {
   pair.client.close_peer();
   auto msg = pair.server.recv(1000);
   EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TcpTransport::Error::kClosed);
+  EXPECT_EQ(pair.server.last_error(), TransportError::kClosed);
 }
 
 // Sends `frame` one byte every `interval` from a background thread until
@@ -160,13 +160,13 @@ TEST(Transport, TricklingHeaderCannotStallRecvPastItsDeadline) {
   // blocked indefinitely. The deadline must cap the WHOLE receive.
   LoopbackPair pair;
   std::vector<std::uint8_t> payload(256, 0x5a);
-  auto frame = TcpTransport::encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
+  auto frame = encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
   Trickler trickler(pair.client, std::move(frame), std::chrono::milliseconds(20));
   const auto t0 = std::chrono::steady_clock::now();
   auto msg = pair.server.recv(150);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TcpTransport::Error::kTimeout);
+  EXPECT_EQ(pair.server.last_error(), TransportError::kTimeout);
   // Pre-fix behavior would sit through ~280 polls x 20ms (several seconds);
   // the budget is 150ms, so even a loaded CI box stays well under a second.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1'000);
@@ -177,7 +177,7 @@ TEST(Transport, RecvDeadlineSpansHeaderAndPayload) {
   // one deadline covers the whole frame.
   LoopbackPair pair;
   std::vector<std::uint8_t> payload(256, 0xc3);
-  auto frame = TcpTransport::encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
+  auto frame = encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
   constexpr std::size_t kHeader = sizeof(FrameHeader);
   ASSERT_TRUE(pair.client.send_bytes(frame.data(), kHeader));  // header at once
   std::vector<std::uint8_t> rest(frame.begin() + kHeader, frame.end());
@@ -186,7 +186,7 @@ TEST(Transport, RecvDeadlineSpansHeaderAndPayload) {
   auto msg = pair.server.recv(150);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TcpTransport::Error::kTimeout);
+  EXPECT_EQ(pair.server.last_error(), TransportError::kTimeout);
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1'000);
 }
 
@@ -195,7 +195,7 @@ TEST(Transport, SlowButSteadyPeerStillCompletesWithinDeadline) {
   // a frame delivered in a few chunks well inside the budget goes through.
   LoopbackPair pair;
   std::vector<std::uint8_t> payload(4096, 0x11);
-  auto frame = TcpTransport::encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
+  auto frame = encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
   std::thread chunked([&] {
     const std::size_t half = frame.size() / 2;
     ASSERT_TRUE(pair.client.send_bytes(frame.data(), half));
@@ -252,7 +252,7 @@ TEST(Transport, SignalInterruptedAcceptStillAcceptsThePeer) {
   connector.join();
   EXPECT_TRUE(accepted) << "EINTR misclassified as timeout or failure";
   EXPECT_TRUE(client_ok);
-  EXPECT_EQ(server.last_error(), TcpTransport::Error::kNone);
+  EXPECT_EQ(server.last_error(), TransportError::kNone);
 }
 
 TEST(Transport, SignalInterruptedAcceptStillHonorsItsDeadline) {
@@ -278,7 +278,7 @@ TEST(Transport, SignalInterruptedAcceptStillHonorsItsDeadline) {
   stop.store(true);
   pepper.join();
   EXPECT_FALSE(accepted);
-  EXPECT_EQ(server.last_error(), TcpTransport::Error::kTimeout);
+  EXPECT_EQ(server.last_error(), TransportError::kTimeout);
   EXPECT_GE(elapsed, 140) << "an EINTR must not be reported as a timeout early";
   EXPECT_LT(elapsed, 2'000) << "the retry must not restart the budget";
 }
@@ -301,7 +301,7 @@ TEST(Transport, ConnectToNeverListeningPeerTimesOutOnSchedule) {
                            std::chrono::steady_clock::now() - t0)
                            .count();
   EXPECT_FALSE(connected);
-  EXPECT_EQ(client.last_error(), TcpTransport::Error::kTimeout);
+  EXPECT_EQ(client.last_error(), TransportError::kTimeout);
   EXPECT_GE(elapsed, 250) << "gave up before the budget was spent";
   EXPECT_LT(elapsed, 2'000) << "overshot a 300ms budget";
 }
@@ -331,7 +331,7 @@ TEST(Transport, ConnectToUnresponsivePeerHonorsDeadline) {
                            std::chrono::steady_clock::now() - t0)
                            .count();
   EXPECT_FALSE(connected);
-  EXPECT_EQ(client.last_error(), TcpTransport::Error::kTimeout);
+  EXPECT_EQ(client.last_error(), TransportError::kTimeout);
   EXPECT_GE(elapsed, 250) << "gave up before the budget was spent";
   EXPECT_LT(elapsed, 5'000) << "a swallowed SYN must not hold connect_to past its budget";
 }
