@@ -2,8 +2,9 @@
 // tickets (writes) and backup watermark reads (reads). Covers the
 // read-your-writes contract end to end — a client that commits ticket S and
 // immediately reads with min_seq = S must observe its own write — plus the
-// laggard bounce, stale-replica skipping, shard routing, and a
-// many-connection sweep through one server.
+// laggard bounce, stale-replica skipping, shard routing, a
+// many-connection sweep through one server, and seeded mutations of client
+// frames (frame_mutation.hpp) over raw TCP.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "frame_mutation.hpp"
 #include "net/async_server.hpp"
 #include "net/frame.hpp"
 #include "net/inproc_transport.hpp"
@@ -25,6 +27,7 @@
 #include "rio/arena.hpp"
 #include "sim/traffic.hpp"
 #include "util/crc32.hpp"
+#include "util/rng.hpp"
 
 namespace vrep {
 namespace {
@@ -113,25 +116,40 @@ struct Shard {
 
 // ---- client-side helpers ----------------------------------------------------
 
+// kClientCommit payload: [u64 op_id | u64 key | u64 off | u64 value].
+std::vector<std::uint8_t> commit_payload(std::uint64_t op_id, std::uint64_t key,
+                                         std::uint64_t off, std::uint64_t value) {
+  std::vector<std::uint8_t> payload(32);
+  std::memcpy(payload.data(), &op_id, 8);
+  std::memcpy(payload.data() + 8, &key, 8);
+  std::memcpy(payload.data() + 16, &off, 8);
+  std::memcpy(payload.data() + 24, &value, 8);
+  return payload;
+}
+
+// kReadRequest payload: [u64 op_id | u64 key | u64 off | u32 len | u64 min_seq].
+std::vector<std::uint8_t> read_payload(std::uint64_t op_id, std::uint64_t key,
+                                       std::uint64_t off, std::uint32_t len,
+                                       std::uint64_t min_seq) {
+  std::vector<std::uint8_t> payload(36);
+  std::memcpy(payload.data(), &op_id, 8);
+  std::memcpy(payload.data() + 8, &key, 8);
+  std::memcpy(payload.data() + 16, &off, 8);
+  std::memcpy(payload.data() + 24, &len, 4);
+  std::memcpy(payload.data() + 28, &min_seq, 8);
+  return payload;
+}
+
 bool send_commit(net::TcpTransport& client, std::uint64_t op_id, std::uint64_t key,
                  std::uint64_t off, std::uint64_t value) {
-  std::uint8_t payload[32];
-  std::memcpy(payload, &op_id, 8);
-  std::memcpy(payload + 8, &key, 8);
-  std::memcpy(payload + 16, &off, 8);
-  std::memcpy(payload + 24, &value, 8);
-  return client.send(net::MsgType::kClientCommit, 1, payload, sizeof payload);
+  const std::vector<std::uint8_t> payload = commit_payload(op_id, key, off, value);
+  return client.send(net::MsgType::kClientCommit, 1, payload.data(), payload.size());
 }
 
 bool send_read(net::TcpTransport& client, std::uint64_t op_id, std::uint64_t key,
                std::uint64_t off, std::uint32_t len, std::uint64_t min_seq) {
-  std::uint8_t payload[36];
-  std::memcpy(payload, &op_id, 8);
-  std::memcpy(payload + 8, &key, 8);
-  std::memcpy(payload + 16, &off, 8);
-  std::memcpy(payload + 24, &len, 4);
-  std::memcpy(payload + 28, &min_seq, 8);
-  return client.send(net::MsgType::kReadRequest, 1, payload, sizeof payload);
+  const std::vector<std::uint8_t> payload = read_payload(op_id, key, off, len, min_seq);
+  return client.send(net::MsgType::kReadRequest, 1, payload.data(), payload.size());
 }
 
 struct CommitReply {
@@ -397,21 +415,12 @@ TEST(AsyncServer, MidBatchProtocolViolationClosesTheConnNotTheServer) {
   // Three frames in ONE send so they land in the same parse batch: a valid
   // commit, a protocol violation (unknown frame type closes the connection
   // mid-parse), and a trailing commit that must never be processed.
-  auto commit_payload = [](std::uint64_t op_id, std::uint64_t off, std::uint64_t value) {
-    std::vector<std::uint8_t> p(32);
-    std::memcpy(p.data(), &op_id, 8);
-    const std::uint64_t key = 1;
-    std::memcpy(p.data() + 8, &key, 8);
-    std::memcpy(p.data() + 16, &off, 8);
-    std::memcpy(p.data() + 24, &value, 8);
-    return p;
-  };
   std::vector<std::uint8_t> wire;
   auto append = [&wire](const std::vector<std::uint8_t>& frame) {
     wire.insert(wire.end(), frame.begin(), frame.end());
   };
-  const std::vector<std::uint8_t> first = commit_payload(1, 512, 0x1111);
-  const std::vector<std::uint8_t> trailing = commit_payload(2, 520, 0x2222);
+  const std::vector<std::uint8_t> first = commit_payload(1, 1, 512, 0x1111);
+  const std::vector<std::uint8_t> trailing = commit_payload(2, 1, 520, 0x2222);
   append(net::encode_frame(net::MsgType::kClientCommit, 1, first.data(), first.size()));
   append(net::encode_frame(static_cast<net::MsgType>(0x6e), 1, nullptr, 0));
   append(net::encode_frame(net::MsgType::kClientCommit, 1, trailing.data(), trailing.size()));
@@ -539,6 +548,77 @@ TEST(AsyncServer, OutOfBoundsReadAnswersInsteadOfParking) {
   EXPECT_EQ(read->status, static_cast<std::uint8_t>(ReadStatus::kOutOfBounds));
   EXPECT_TRUE(read->data.empty());
   server.stop();
+}
+
+// A well-formed client frame: a commit of an 8-byte write, or a read.
+net::mutation::Frame random_client_frame(std::uint8_t tag, Rng& rng) {
+  const std::uint64_t op_id = rng.next_u64();
+  const std::uint64_t key = rng.next_u64();
+  const std::uint64_t off = rng.below(kDbSize / 8) * 8;
+  if (rng.below(2) == 0) {
+    const std::uint64_t value = rng.next_u64();
+    return net::mutation::make_frame(net::MsgType::kClientCommit, tag, rng,
+                                     commit_payload(op_id, key, off, value));
+  }
+  const auto len = static_cast<std::uint32_t>(1 + rng.below(8));
+  return net::mutation::make_frame(net::MsgType::kReadRequest, tag, rng,
+                                   read_payload(op_id, key, off, len, /*min_seq=*/0));
+}
+
+TEST(AsyncServer, ClosesMutatedFrameStreamsAndKeepsServing) {
+  constexpr int kCases = 1000;
+  Shard shard;
+  net::AsyncServer server;
+  server.add_shard(shard.endpoint());
+  server.set_router([](std::uint64_t) { return 0u; });
+  ASSERT_TRUE(server.listen(0));
+  ASSERT_TRUE(server.start());
+
+  // Every mutated stream ends in bytes no header can be read from (the
+  // length field of all-ones exceeds the frame bound). The tail is longer
+  // than any lying length, so however the damage shifted the framing, the
+  // server reaches it and must close the connection itself.
+  const std::vector<std::uint8_t> poison(8192, 0xff);
+  for (int i = 0; i < kCases; ++i) {
+    const std::uint64_t seed = net::mutation::kSeedBase + static_cast<std::uint64_t>(i);
+    SCOPED_TRACE(net::mutation::seed_note(seed));
+    Rng rng(seed);
+    const net::mutation::Frame f = random_client_frame(1, rng);
+    const net::mutation::Frame other = random_client_frame(2, rng);
+    const net::mutation::Mutated m = net::mutation::mutate(f, other, rng);
+    std::vector<std::uint8_t> wire = m.bytes;
+    wire.insert(wire.end(), poison.begin(), poison.end());
+
+    const std::uint64_t corrupt_before = server.stats().conns_corrupt.load();
+    net::TcpTransport client;
+    connect_client(client, server.bound_port());
+    // The server may close mid-write; only its reaction matters.
+    client.send_bytes(wire.data(), wire.size());
+    // Only an undamaged frame may be answered (its reply can still be lost
+    // to the reset the server's close sends while poison is unread).
+    const int may_answer = net::mutation::keeps(m, f) ? 1 : 0;
+    for (int replies = 0; client.recv(2000).has_value(); ++replies) {
+      ASSERT_LT(replies, may_answer) << "a damaged frame was answered";
+    }
+    EXPECT_EQ(client.last_error(), net::TransportError::kClosed)
+        << "the server must close a connection whose framing is lost";
+    EXPECT_EQ(server.stats().conns_corrupt.load(), corrupt_before + 1);
+
+    if (i % 20 == 19 || HasFailure()) {
+      // ...and keeps serving a fresh one.
+      net::TcpTransport fresh;
+      connect_client(fresh, server.bound_port());
+      const std::uint64_t op_id = rng.next_u64();
+      const std::uint64_t off = rng.below(kDbSize / 8) * 8;
+      ASSERT_TRUE(send_commit(fresh, op_id, 1, off, rng.next_u64()));
+      std::optional<CommitReply> reply = recv_commit_reply(fresh);
+      ASSERT_TRUE(reply.has_value()) << "a fresh connection must be served";
+      EXPECT_EQ(reply->op_id, op_id);
+    }
+    if (HasFailure()) break;  // the first failing seed is the one to replay
+  }
+  server.stop();
+  EXPECT_EQ(server.stats().conns_open.load(), 0u);
 }
 
 }  // namespace

@@ -1,30 +1,15 @@
-// Seeded mutation tests of the frame decoder (net/frame.hpp): valid encoded
-// frames are damaged by bit flips, truncation, length fields that lie and
-// splices of two frames, then fed to both readers of the format —
-// StreamTransport::recv (through an InprocTransport pair) and the epoll
-// AsyncServer's parse loop (over raw TCP).
-//
-// The oracle is the frame format itself: a flip in the header fields the
-// header CRC covers closes the stream, a flip in the payload or its CRC
-// skips the frame in place, a flip in `pad` (which no CRC covers) changes
-// nothing. Whatever the mutation, no damaged frame is ever returned as a
-// valid message.
-//
-// Every case runs from its own seed, printed on failure. Set
-// VREP_MUTATION_SEED to start the sweep at another seed.
+// Seeded mutation tests of the frame decoder (net/frame.hpp) through
+// StreamTransport::recv: every mutation of frame_mutation.hpp is fed to an
+// InprocTransport pair, which must do what the mutation's Expect says. The
+// AsyncServer's parse loop gets the same mutations over raw TCP in
+// async_server_test.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <cstddef>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "net/async_server.hpp"
-#include "net/frame.hpp"
+#include "frame_mutation.hpp"
 #include "net/inproc_transport.hpp"
 #include "net/transport.hpp"
 #include "util/rng.hpp"
@@ -32,138 +17,16 @@
 namespace vrep::net {
 namespace {
 
+using namespace mutation;
+
 constexpr int kStreamCases = 20000;
-constexpr int kServerCases = 1000;
 constexpr int kRecvMs = 2000;
 constexpr std::size_t kMaxTestPayload = 256;
-
-std::uint64_t seed_base() {
-  const char* env = std::getenv("VREP_MUTATION_SEED");
-  return env != nullptr ? std::strtoull(env, nullptr, 0) : 0x5eed0000u;
-}
-
-std::string seed_note(std::uint64_t seed) {
-  return "seed " + std::to_string(seed) + " (rerun from it: VREP_MUTATION_SEED=" +
-         std::to_string(seed) + ")";
-}
-
-struct Frame {
-  MsgType type;
-  std::uint64_t epoch;
-  std::vector<std::uint8_t> payload;
-  std::vector<std::uint8_t> bytes;  // encoded
-};
-
-// `tag` becomes the epoch's low byte, so the frames of one case never share
-// their first byte and a splice can never reproduce one of them.
-Frame make_frame(MsgType type, std::uint8_t tag, Rng& rng, std::vector<std::uint8_t> payload) {
-  const std::uint64_t epoch = (rng.next_u64() << 8) | tag;
-  std::vector<std::uint8_t> bytes = encode_frame(type, epoch, payload.data(), payload.size());
-  return Frame{type, epoch, std::move(payload), std::move(bytes)};
-}
 
 Frame random_frame(std::uint8_t tag, Rng& rng) {
   std::vector<std::uint8_t> payload(rng.below(kMaxTestPayload + 1));
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u32());
   return make_frame(static_cast<MsgType>(1 + rng.below(18)), tag, rng, std::move(payload));
-}
-
-bool same(const Message& msg, const Frame& frame) {
-  return msg.type == frame.type && msg.epoch == frame.epoch && msg.payload == frame.payload;
-}
-
-FrameHeader header_of(const std::vector<std::uint8_t>& bytes) {
-  FrameHeader hdr;
-  std::memcpy(&hdr, bytes.data(), sizeof hdr);
-  return hdr;
-}
-
-// What a correct reader must do with a mutated frame.
-enum class Expect {
-  kIntact,   // only pad changed: the original frame decodes
-  kSkip,     // payload damaged: kCorrupt, still connected, the next frame decodes
-  kClose,    // header damaged: kCorrupt and disconnected
-  kTorn,     // the stream ends inside the frame: kClosed
-  kNoValid,  // anything, except a damaged frame decoding as valid
-};
-
-struct Mutated {
-  std::vector<std::uint8_t> bytes;
-  Expect expect;
-};
-
-// Whether the mutation left `f` whole but for its pad, which no CRC covers
-// (a pad flip, or a splice cut inside the pad of a frame without payload).
-bool keeps(const Mutated& m, const Frame& f) {
-  constexpr auto kPad = static_cast<std::ptrdiff_t>(offsetof(FrameHeader, pad));
-  constexpr auto kHeader = static_cast<std::ptrdiff_t>(sizeof(FrameHeader));
-  return m.bytes.size() >= f.bytes.size() &&
-         std::equal(f.bytes.begin(), f.bytes.begin() + kPad, m.bytes.begin()) &&
-         std::equal(f.bytes.begin() + kHeader, f.bytes.end(), m.bytes.begin() + kHeader);
-}
-
-// Flip 1-3 distinct bits. CRC32C detects every error of up to 5 bits in
-// messages this short, so the class follows from where the flips landed.
-Mutated flip_bits(const Frame& f, Rng& rng) {
-  std::vector<std::uint8_t> bytes = f.bytes;
-  std::vector<std::size_t> bits;
-  const std::size_t n = 1 + rng.below(3);
-  while (bits.size() < n) {
-    const std::size_t bit = rng.below(bytes.size() * 8);
-    if (std::find(bits.begin(), bits.end(), bit) == bits.end()) bits.push_back(bit);
-  }
-  Expect expect = Expect::kIntact;
-  for (const std::size_t bit : bits) {
-    const std::size_t byte = bit / 8;
-    bytes[byte] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    const bool in_payload_crc = byte >= offsetof(FrameHeader, payload_crc) &&
-                                byte < offsetof(FrameHeader, header_crc);
-    if (byte >= sizeof(FrameHeader) || in_payload_crc) {
-      if (expect == Expect::kIntact) expect = Expect::kSkip;
-    } else if (byte < offsetof(FrameHeader, pad)) {
-      expect = Expect::kClose;
-    }
-  }
-  return Mutated{std::move(bytes), expect};
-}
-
-// Rewrite the length field and re-seal the header, so only the lie is left.
-std::vector<std::uint8_t> with_len(const Frame& f, std::uint32_t len) {
-  FrameHeader hdr = header_of(f.bytes);
-  hdr.len = len;
-  hdr.header_crc = frame_header_crc(hdr);
-  std::vector<std::uint8_t> bytes = f.bytes;
-  std::memcpy(bytes.data(), &hdr, sizeof hdr);
-  return bytes;
-}
-
-Mutated mutate(const Frame& f, const Frame& other, Rng& rng) {
-  switch (rng.below(5)) {
-    case 0:
-      return flip_bits(f, rng);
-    case 1: {  // truncation
-      const std::size_t cut = 1 + rng.below(f.bytes.size() - 1);
-      return Mutated{{f.bytes.begin(), f.bytes.begin() + static_cast<std::ptrdiff_t>(cut)},
-                     Expect::kTorn};
-    }
-    case 2: {  // length beyond the frame bound
-      const std::uint64_t over = kMaxFramePayload + 1 + rng.below(0xffffffffu - kMaxFramePayload);
-      return Mutated{with_len(f, static_cast<std::uint32_t>(over)), Expect::kClose};
-    }
-    case 3: {  // length longer than the bytes that follow
-      const std::uint64_t len = f.payload.size() + 1 + rng.below(4096);
-      return Mutated{with_len(f, static_cast<std::uint32_t>(len)), Expect::kTorn};
-    }
-    default: {  // splice: a prefix of one frame, a suffix of another
-      const std::size_t cut_a = 1 + rng.below(f.bytes.size() - 1);
-      const std::size_t cut_b = 1 + rng.below(other.bytes.size() - 1);
-      std::vector<std::uint8_t> bytes(f.bytes.begin(),
-                                      f.bytes.begin() + static_cast<std::ptrdiff_t>(cut_a));
-      bytes.insert(bytes.end(), other.bytes.begin() + static_cast<std::ptrdiff_t>(cut_b),
-                   other.bytes.end());
-      return Mutated{std::move(bytes), Expect::kNoValid};
-    }
-  }
 }
 
 void run_stream_case(std::uint64_t seed) {
@@ -228,116 +91,12 @@ void run_stream_case(std::uint64_t seed) {
 }
 
 TEST(FrameMutation, StreamTransportRejectsEveryMutatedFrame) {
-  const std::uint64_t base = seed_base();
   for (int i = 0; i < kStreamCases; ++i) {
-    const std::uint64_t seed = base + static_cast<std::uint64_t>(i);
+    const std::uint64_t seed = kSeedBase + static_cast<std::uint64_t>(i);
     SCOPED_TRACE(seed_note(seed));
     run_stream_case(seed);
     if (HasFailure()) return;  // the first failing seed is the one to replay
   }
-}
-
-// ---- AsyncServer ------------------------------------------------------------
-
-constexpr std::size_t kServedBytes = 4096;
-
-// A well-formed client frame: a commit of an 8-byte write, or a read.
-Frame random_client_frame(std::uint8_t tag, Rng& rng) {
-  const std::uint64_t op_id = rng.next_u64();
-  const std::uint64_t key = rng.next_u64();
-  if (rng.below(2) == 0) {
-    std::vector<std::uint8_t> payload(32);
-    const std::uint64_t off = rng.below(kServedBytes / 8) * 8;
-    const std::uint64_t value = rng.next_u64();
-    std::memcpy(payload.data(), &op_id, 8);
-    std::memcpy(payload.data() + 8, &key, 8);
-    std::memcpy(payload.data() + 16, &off, 8);
-    std::memcpy(payload.data() + 24, &value, 8);
-    return make_frame(MsgType::kClientCommit, tag, rng, std::move(payload));
-  }
-  std::vector<std::uint8_t> payload(36);
-  const std::uint64_t off = rng.below(kServedBytes - 64);
-  const std::uint32_t len = 1 + static_cast<std::uint32_t>(rng.below(64));
-  const std::uint64_t min_seq = 0;
-  std::memcpy(payload.data(), &op_id, 8);
-  std::memcpy(payload.data() + 8, &key, 8);
-  std::memcpy(payload.data() + 16, &off, 8);
-  std::memcpy(payload.data() + 24, &len, 4);
-  std::memcpy(payload.data() + 28, &min_seq, 8);
-  return make_frame(MsgType::kReadRequest, tag, rng, std::move(payload));
-}
-
-// A shard that commits everything at once and serves zeros: the test is
-// about the server's framing, not replication.
-AsyncServer::ShardEndpoint instant_shard(std::atomic<std::uint64_t>& seq) {
-  AsyncServer::ShardEndpoint ep;
-  ep.submit = [&seq](std::uint64_t, const std::uint8_t*, std::size_t) { return ++seq; };
-  ep.ticket_state = [](std::uint64_t) { return repl::RedoPipeline::TicketState::kDurable; };
-  ep.poll = [] {};
-  ep.replicas.push_back(AsyncServer::Replica{
-      [&seq](std::uint64_t, std::uint32_t len, std::uint64_t, std::uint8_t* out) {
-        std::memset(out, 0, len);
-        return repl::RedoApplier::ReadResult{repl::RedoApplier::ReadStatus::kOk, seq.load()};
-      },
-      [&seq] { return seq.load(); }});
-  return ep;
-}
-
-TEST(FrameMutation, AsyncServerClosesMutatedStreamsAndKeepsServing) {
-  std::atomic<std::uint64_t> seq{0};
-  AsyncServer server;
-  server.add_shard(instant_shard(seq));
-  server.set_router([](std::uint64_t) { return 0u; });
-  ASSERT_TRUE(server.listen(0));
-  ASSERT_TRUE(server.start());
-
-  // Every mutated stream ends in bytes no header can be read from (the
-  // length field of all-ones exceeds the frame bound). The tail is longer
-  // than any lying length below, so however the damage shifted the framing,
-  // the server reaches it and must close the connection itself.
-  const std::vector<std::uint8_t> poison(8192, 0xff);
-  const std::uint64_t base = seed_base();
-  for (int i = 0; i < kServerCases; ++i) {
-    const std::uint64_t case_seed = base + static_cast<std::uint64_t>(i);
-    SCOPED_TRACE(seed_note(case_seed));
-    Rng rng(case_seed);
-    const Frame f = random_client_frame(1, rng);
-    const Frame other = random_client_frame(2, rng);
-    const Mutated m = mutate(f, other, rng);
-    std::vector<std::uint8_t> wire = m.bytes;
-    wire.insert(wire.end(), poison.begin(), poison.end());
-
-    const std::uint64_t corrupt_before = server.stats().conns_corrupt.load();
-    TcpTransport client;
-    ASSERT_TRUE(client.connect_to("127.0.0.1", server.bound_port(), 5000));
-    // The server may close mid-write; only its reaction matters.
-    client.send_bytes(wire.data(), wire.size());
-    // Only an undamaged frame may be answered (its reply can still be lost
-    // to the reset the server's close sends while poison is unread).
-    const int may_answer = keeps(m, f) ? 1 : 0;
-    for (int replies = 0; client.recv(kRecvMs).has_value(); ++replies) {
-      ASSERT_LT(replies, may_answer) << "a damaged frame was answered";
-    }
-    EXPECT_EQ(client.last_error(), TransportError::kClosed)
-        << "the server must close a connection whose framing is lost";
-    EXPECT_EQ(server.stats().conns_corrupt.load(), corrupt_before + 1);
-
-    if (i % 20 == 19 || HasFailure()) {
-      // ...and keeps serving a fresh one.
-      TcpTransport fresh;
-      ASSERT_TRUE(fresh.connect_to("127.0.0.1", server.bound_port(), 5000));
-      const Frame commit = random_client_frame(5, rng);
-      ASSERT_TRUE(fresh.send(commit.type, commit.epoch, commit.payload.data(),
-                             commit.payload.size()));
-      const std::optional<Message> reply = fresh.recv(kRecvMs);
-      ASSERT_TRUE(reply.has_value()) << "a fresh connection must be served";
-      EXPECT_EQ(std::memcmp(reply->payload.data(), commit.payload.data(), 8), 0)
-          << "the reply must echo the op id";
-    }
-    if (HasFailure()) break;
-  }
-  server.stop();
-  EXPECT_EQ(server.stats().conns_open.load(), 0u);
 }
 
 }  // namespace
