@@ -148,12 +148,12 @@ void run_client(std::uint16_t port, unsigned conn, std::uint64_t ops, unsigned t
     std::memcpy(payload + 8, &key, 8);
     std::memcpy(payload + 16, &off, 8);
     std::memcpy(payload + 24, &value, 8);
-    if (!client.send(net::MsgType::kClientCommit, 1, payload, 32)) {
+    if (!client.send(repl::FrameKind::kClientCommit, 1, payload, 32)) {
       result->consistent = false;
       return;
     }
-    std::optional<net::Message> reply = client.recv(10'000);
-    if (!reply.has_value() || reply->type != net::MsgType::kCommitReply ||
+    std::optional<repl::Frame> reply = client.recv(10'000);
+    if (!reply.has_value() || reply->kind != repl::FrameKind::kCommitReply ||
         reply->payload.size() != 17) {
       result->consistent = false;
       return;
@@ -183,9 +183,9 @@ void run_client(std::uint16_t port, unsigned conn, std::uint64_t ops, unsigned t
       std::memcpy(payload + 16, &off, 8);
       std::memcpy(payload + 24, &len, 4);
       std::memcpy(payload + 28, &ticket, 8);
-      if (!client.send(net::MsgType::kReadRequest, 1, payload, 36)) break;
+      if (!client.send(repl::FrameKind::kReadRequest, 1, payload, 36)) break;
       reply = client.recv(10'000);
-      if (!reply.has_value() || reply->type != net::MsgType::kReadReply ||
+      if (!reply.has_value() || reply->kind != repl::FrameKind::kReadReply ||
           reply->payload.size() < 17) {
         break;
       }

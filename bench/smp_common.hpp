@@ -22,7 +22,6 @@
 #include "bench_common.hpp"
 #include "exec/smp_executor.hpp"
 #include "net/inproc_transport.hpp"
-#include "net/transport_link.hpp"
 #include "net/wire_repl.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
@@ -79,8 +78,7 @@ inline int run_smp_bench_main(int argc, char** argv, wl::WorkloadKind kind,
 
     net::InprocTransport primary_end, backup_end;
     net::InprocTransport::pair(primary_end, backup_end);
-    net::TransportLink link{&primary_end};
-    exec::SmpExecutor executor(config, &link);
+    exec::SmpExecutor executor(config, &primary_end);
     rio::Arena arena = rio::Arena::create(executor.image_size());
     net::WireBackup backup(arena);
     std::thread serve([&] {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "core/api.hpp"
 #include "sim/alpha_cost_model.hpp"
@@ -76,14 +75,8 @@ struct ExperimentResult {
   double flow_stall_seconds = 0;   // active: CPU blocked on a full redo ring
   // Per-transaction virtual-time commit latency (ns), across all streams.
   Histogram commit_latency_ns{};
-
-  double traffic_mb() const { return static_cast<double>(traffic.total()) / 1e6; }
 };
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
-
-// Formats "123456" style TPS plus a paper-comparison ratio line; helper for
-// the bench binaries.
-std::string format_ratio(double measured, double paper);
 
 }  // namespace vrep::harness

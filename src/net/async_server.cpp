@@ -238,11 +238,11 @@ bool AsyncServer::parse_frames(Conn& conn) {
 
 void AsyncServer::dispatch(Conn& conn, std::uint8_t type, std::uint64_t epoch,
                            const std::uint8_t* payload, std::size_t len) {
-  switch (static_cast<MsgType>(type)) {
-    case MsgType::kClientCommit:
+  switch (static_cast<repl::FrameKind>(type)) {
+    case repl::FrameKind::kClientCommit:
       handle_commit(conn, epoch, payload, len);
       return;
-    case MsgType::kReadRequest:
+    case repl::FrameKind::kReadRequest:
       handle_read(conn, epoch, payload, len);
       return;
     default:
@@ -409,7 +409,7 @@ void AsyncServer::send_commit_reply(std::uint64_t conn_id, std::uint64_t op_id,
   std::memcpy(payload, &op_id, 8);
   std::memcpy(payload + 8, &seq, 8);
   payload[16] = outcome;
-  enqueue(*conn, encode_frame(MsgType::kCommitReply, epoch, payload, sizeof payload));
+  enqueue(*conn, encode_frame(repl::FrameKind::kCommitReply, epoch, payload, sizeof payload));
 }
 
 void AsyncServer::send_read_reply(std::uint64_t conn_id, std::uint64_t op_id,
@@ -427,7 +427,7 @@ void AsyncServer::send_read_reply(std::uint64_t conn_id, std::uint64_t op_id,
   std::memcpy(payload.data() + 8, &at_seq, 8);
   payload[16] = status;
   payload.insert(payload.end(), data, data + len);
-  enqueue(*conn, encode_frame(MsgType::kReadReply, epoch, payload.data(), payload.size()));
+  enqueue(*conn, encode_frame(repl::FrameKind::kReadReply, epoch, payload.data(), payload.size()));
 }
 
 void AsyncServer::enqueue(Conn& conn, std::vector<std::uint8_t> frame) {

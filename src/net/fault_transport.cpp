@@ -26,8 +26,8 @@ FaultInjectingTransport::Fault FaultInjectingTransport::roll() {
   return Fault::kNone;
 }
 
-bool FaultInjectingTransport::send(MsgType type, std::uint64_t epoch, const void* payload,
-                                   std::size_t len) {
+bool FaultInjectingTransport::send(repl::FrameKind kind, std::uint64_t epoch,
+                                   const void* payload, std::size_t len) {
   stats_.frames++;
   // Draw even during the grace period so the schedule downstream of it does
   // not depend on how many handshake frames preceded it... it does anyway
@@ -36,7 +36,7 @@ bool FaultInjectingTransport::send(MsgType type, std::uint64_t epoch, const void
   const Fault fault = roll();
   if (stats_.frames <= static_cast<std::uint64_t>(plan_.start_after_frames) ||
       fault == Fault::kNone) {
-    return inner_->send(type, epoch, payload, len);
+    return inner_->send(kind, epoch, payload, len);
   }
   // Every fault also bumps its net.fault.* mirror in the process-wide
   // registry, so chaos runs show up in --json snapshots.
@@ -54,20 +54,20 @@ bool FaultInjectingTransport::send(MsgType type, std::uint64_t epoch, const void
       const auto us = static_cast<useconds_t>(
           rng_.below(static_cast<std::uint64_t>(plan_.max_delay_us) + 1));
       ::usleep(us);
-      return inner_->send(type, epoch, payload, len);
+      return inner_->send(kind, epoch, payload, len);
     }
     case Fault::kDuplicate: {
       static metrics::Counter& duplicates = metrics::counter("net.fault.duplicates");
       stats_.duplicates++;
       duplicates.add(1);
-      if (!inner_->send(type, epoch, payload, len)) return false;
-      return inner_->send(type, epoch, payload, len);
+      if (!inner_->send(kind, epoch, payload, len)) return false;
+      return inner_->send(kind, epoch, payload, len);
     }
     case Fault::kBitflip: {
       static metrics::Counter& bitflips = metrics::counter("net.fault.bitflips");
       stats_.bitflips++;
       bitflips.add(1);
-      auto frame = encode_frame(type, epoch, payload, len);
+      auto frame = encode_frame(kind, epoch, payload, len);
       const std::uint64_t bit = rng_.below(frame.size() * 8);
       frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       return inner_->send_bytes(frame.data(), frame.size());
@@ -78,7 +78,7 @@ bool FaultInjectingTransport::send(MsgType type, std::uint64_t epoch, const void
       static metrics::Counter& truncations = metrics::counter("net.fault.truncations");
       stats_.truncations++;
       truncations.add(1);
-      const auto frame = encode_frame(type, epoch, payload, len);
+      const auto frame = encode_frame(kind, epoch, payload, len);
       const std::size_t cut = 1 + rng_.below(frame.size() - 1);
       inner_->send_bytes(frame.data(), cut);
       inner_->close_peer();
@@ -94,7 +94,7 @@ bool FaultInjectingTransport::send(MsgType type, std::uint64_t epoch, const void
     case Fault::kNone:
       break;
   }
-  return inner_->send(type, epoch, payload, len);
+  return inner_->send(kind, epoch, payload, len);
 }
 
 }  // namespace vrep::net

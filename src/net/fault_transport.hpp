@@ -52,10 +52,10 @@ class FaultInjectingTransport final : public Transport {
     }
   };
 
-  bool send(MsgType type, std::uint64_t epoch, const void* payload,
+  bool send(repl::FrameKind kind, std::uint64_t epoch, const void* payload,
             std::size_t len) override;
-  std::optional<Message> recv(int timeout_ms) override { return inner_->recv(timeout_ms); }
-  TransportError last_error() const override { return inner_->last_error(); }
+  std::optional<repl::Frame> recv(int timeout_ms) override { return inner_->recv(timeout_ms); }
+  repl::LinkError last_error() const override { return inner_->last_error(); }
   bool connected() const override { return inner_->connected(); }
   void close_peer() override { inner_->close_peer(); }
   bool send_bytes(const void* bytes, std::size_t len) override {

@@ -5,6 +5,7 @@
 // Frame format (24-byte header, then payload):
 //   [u64 epoch | u32 payload_len | u32 payload_crc | u32 header_crc |
 //    u8 type | u8 pad[3]] payload
+// where `type` is the repl::FrameKind value.
 //
 // Every frame carries the sender's membership epoch so the protocol layer
 // can fence stale-epoch traffic (split-brain defense; see
@@ -26,7 +27,7 @@
 #include <cstring>
 #include <vector>
 
-#include "net/transport.hpp"
+#include "repl/link.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
 
@@ -59,13 +60,13 @@ inline std::uint32_t frame_header_crc(const FrameHeader& hdr) {
 
 // The header a sender puts in front of `payload`: CHECKs the payload bound,
 // then sets both CRCs.
-inline FrameHeader make_frame_header(MsgType type, std::uint64_t epoch, const void* payload,
-                                     std::size_t len) {
+inline FrameHeader make_frame_header(repl::FrameKind kind, std::uint64_t epoch,
+                                     const void* payload, std::size_t len) {
   VREP_CHECK(len <= kMaxFramePayload);
   FrameHeader hdr{};
   hdr.epoch = epoch;
   hdr.len = static_cast<std::uint32_t>(len);
-  hdr.type = static_cast<std::uint8_t>(type);
+  hdr.type = static_cast<std::uint8_t>(kind);
   hdr.payload_crc = Crc32::of(payload, len);
   hdr.header_crc = frame_header_crc(hdr);
   return hdr;
@@ -83,9 +84,9 @@ inline bool frame_payload_ok(const FrameHeader& hdr, const void* payload) {
 }
 
 // Encode one frame exactly as a transport's send() puts it on the wire.
-inline std::vector<std::uint8_t> encode_frame(MsgType type, std::uint64_t epoch,
+inline std::vector<std::uint8_t> encode_frame(repl::FrameKind kind, std::uint64_t epoch,
                                               const void* payload, std::size_t len) {
-  const FrameHeader hdr = make_frame_header(type, epoch, payload, len);
+  const FrameHeader hdr = make_frame_header(kind, epoch, payload, len);
   std::vector<std::uint8_t> frame(sizeof hdr + len);
   std::memcpy(frame.data(), &hdr, sizeof hdr);
   if (len > 0) std::memcpy(frame.data() + sizeof hdr, payload, len);

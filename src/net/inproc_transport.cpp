@@ -17,8 +17,10 @@ void InprocTransport::pair(InprocTransport& a, InprocTransport& b) {
   a.in_ = b_to_a;
   b.out_ = b_to_a;
   b.in_ = a_to_b;
-  a.error_ = TransportError::kNone;
-  b.error_ = TransportError::kNone;
+  for (InprocTransport* end : {&a, &b}) {
+    end->error_ = repl::LinkError::kNone;
+    end->forget_partial_frame();
+  }
   static metrics::Counter& inproc_pairs = metrics::counter("net.transport.inproc_pairs");
   inproc_pairs.add(1);
 }
@@ -44,7 +46,7 @@ bool InprocTransport::append(std::initializer_list<std::pair<const void*, std::s
   if (!out_) return false;
   std::lock_guard<std::mutex> lock(out_->mu);
   if (out_->closed) {
-    error_ = TransportError::kClosed;
+    error_ = repl::LinkError::kClosed;
     return false;
   }
   for (const auto& [data, len] : parts) {
@@ -63,10 +65,10 @@ bool InprocTransport::write_frame(const FrameHeader& hdr, const void* payload) {
   return append({{&hdr, sizeof hdr}, {payload, hdr.len}});
 }
 
-bool InprocTransport::read_fully(void* buf, std::size_t len, const Deadline& deadline) {
+std::size_t InprocTransport::read_fully(void* buf, std::size_t len, const Deadline& deadline) {
   if (!in_) {
-    error_ = TransportError::kClosed;
-    return false;
+    error_ = repl::LinkError::kClosed;
+    return 0;
   }
   auto* p = static_cast<std::uint8_t*>(buf);
   std::size_t got = 0;
@@ -83,18 +85,18 @@ bool InprocTransport::read_fully(void* buf, std::size_t len, const Deadline& dea
     if (in_->closed) {
       // Stream drained and the peer is gone: a partial frame is torn, a
       // clean boundary is EOF — both map to kClosed, as with TCP.
-      error_ = TransportError::kClosed;
-      return false;
+      error_ = repl::LinkError::kClosed;
+      return got;
     }
     if (!deadline.has_value()) {
       in_->cv.wait(lock);
     } else if (in_->cv.wait_until(lock, *deadline) == std::cv_status::timeout &&
                in_->bytes.empty() && !in_->closed) {
-      error_ = TransportError::kTimeout;
-      return false;
+      error_ = repl::LinkError::kTimeout;
+      return got;
     }
   }
-  return true;
+  return got;
 }
 
 }  // namespace vrep::net

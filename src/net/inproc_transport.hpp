@@ -1,4 +1,4 @@
-// In-process loopback transport: the third ReplicationLink backend.
+// In-process loopback transport: a framed byte stream between two threads.
 //
 // Two InprocTransport endpoints are cross-wired by pair(); each direction is
 // a mutex/condvar-protected byte stream carrying the exact encoded frame
@@ -54,7 +54,7 @@ class InprocTransport final : public StreamTransport {
     bool closed = false;
   };
 
-  bool read_fully(void* buf, std::size_t len, const Deadline& deadline) override;
+  std::size_t read_fully(void* buf, std::size_t len, const Deadline& deadline) override;
   bool write_frame(const FrameHeader& hdr, const void* payload) override;
   void drop_stream() override { close_peer(); }
   // Append `parts` to out_ under one lock, so a reader never sees part of

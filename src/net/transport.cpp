@@ -39,11 +39,11 @@ int poll_ms(const Deadline& deadline) {
 
 }  // namespace
 
-bool StreamTransport::send(MsgType type, std::uint64_t epoch, const void* payload,
+bool StreamTransport::send(repl::FrameKind kind, std::uint64_t epoch, const void* payload,
                            std::size_t len) {
   // Built (and the payload bound CHECKed) before any stream state, so
   // callers hit the bound deterministically.
-  const FrameHeader hdr = make_frame_header(type, epoch, payload, len);
+  const FrameHeader hdr = make_frame_header(kind, epoch, payload, len);
   if (!write_frame(hdr, payload)) return false;
   static metrics::Counter& frames = metrics::counter("net.transport.frames_sent");
   static metrics::Counter& bytes = metrics::counter("net.transport.bytes_sent");
@@ -52,28 +52,39 @@ bool StreamTransport::send(MsgType type, std::uint64_t epoch, const void* payloa
   return true;
 }
 
-std::optional<Message> StreamTransport::recv(int timeout_ms) {
-  error_ = TransportError::kNone;
+std::optional<repl::Frame> StreamTransport::recv(int timeout_ms) {
+  error_ = repl::LinkError::kNone;
   const Deadline deadline = deadline_after(timeout_ms);
-  FrameHeader hdr;
-  if (!read_fully(&hdr, sizeof hdr, deadline)) return std::nullopt;
-  if (!frame_header_ok(hdr)) {
-    // Framing is lost for good. Close so the peer reconnects and the
-    // protocol layer resyncs via rejoin.
-    error_ = TransportError::kCorrupt;
-    static metrics::Counter& corrupt_headers = metrics::counter("net.transport.corrupt_headers");
-    corrupt_headers.add(1);
-    drop_stream();
-    return std::nullopt;
+  // Fills one part of the frame (`len` bytes at frame offset `offset`: the
+  // header, then the payload) from where partial_bytes_ says the last recv()
+  // stopped. On a timeout what arrived is kept for the next recv(); on a
+  // closed stream it is forgotten.
+  const auto read_part = [&](void* base, std::size_t offset, std::size_t len) {
+    const std::size_t have = partial_bytes_ - offset;
+    partial_bytes_ += read_fully(static_cast<std::uint8_t*>(base) + have, len - have, deadline);
+    if (partial_bytes_ == offset + len) return true;
+    if (error_ != repl::LinkError::kTimeout) forget_partial_frame();
+    return false;
+  };
+  if (partial_bytes_ < sizeof header_) {
+    if (!read_part(&header_, 0, sizeof header_)) return std::nullopt;
+    if (!frame_header_ok(header_)) {
+      // Framing is lost for good. Close so the peer reconnects and the
+      // protocol layer resyncs via rejoin.
+      error_ = repl::LinkError::kCorrupt;
+      static metrics::Counter& corrupt_headers = metrics::counter("net.transport.corrupt_headers");
+      corrupt_headers.add(1);
+      forget_partial_frame();
+      drop_stream();
+      return std::nullopt;
+    }
+    payload_.resize(header_.len);
   }
-  Message msg;
-  msg.type = static_cast<MsgType>(hdr.type);
-  msg.epoch = hdr.epoch;
-  msg.payload.resize(hdr.len);
-  if (!read_fully(msg.payload.data(), hdr.len, deadline)) return std::nullopt;
-  if (!frame_payload_ok(hdr, msg.payload.data())) {
+  if (!read_part(payload_.data(), sizeof header_, header_.len)) return std::nullopt;
+  forget_partial_frame();
+  if (!frame_payload_ok(header_, payload_.data())) {
     // Payload consumed in full: the stream stays aligned, skip in-band.
-    error_ = TransportError::kCorrupt;
+    error_ = repl::LinkError::kCorrupt;
     static metrics::Counter& corrupt_payloads = metrics::counter("net.transport.corrupt_payloads");
     corrupt_payloads.add(1);
     return std::nullopt;
@@ -81,8 +92,9 @@ std::optional<Message> StreamTransport::recv(int timeout_ms) {
   static metrics::Counter& frames = metrics::counter("net.transport.frames_received");
   static metrics::Counter& bytes = metrics::counter("net.transport.bytes_received");
   frames.add(1);
-  bytes.add(sizeof hdr + msg.payload.size());
-  return msg;
+  bytes.add(sizeof header_ + header_.len);
+  return repl::Frame{static_cast<repl::FrameKind>(header_.type), header_.epoch,
+                     std::move(payload_)};
 }
 
 TcpTransport::~TcpTransport() {
@@ -116,6 +128,7 @@ void TcpTransport::drop_stream() {
     ::close(fd_);
     fd_ = -1;
   }
+  forget_partial_frame();
 }
 
 bool TcpTransport::listen(std::uint16_t port) {
@@ -145,12 +158,12 @@ bool TcpTransport::accept_peer(int timeout_ms) {
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, poll_ms(deadline));
     if (ready == 0) {
-      error_ = TransportError::kTimeout;  // only a genuinely silent socket is a timeout
+      error_ = repl::LinkError::kTimeout;  // only a genuinely silent socket is a timeout
       return false;
     }
     if (ready < 0) {
       if (errno == EINTR) continue;
-      error_ = TransportError::kClosed;  // real poll failure, distinct from kTimeout
+      error_ = repl::LinkError::kClosed;  // real poll failure, distinct from kTimeout
       return false;
     }
     fd_ = ::accept(listen_fd_, nullptr, nullptr);
@@ -158,12 +171,12 @@ bool TcpTransport::accept_peer(int timeout_ms) {
     // The pending connection may have been aborted between poll and accept,
     // or the accept itself interrupted; both leave the listener healthy.
     if (errno == EINTR || errno == ECONNABORTED || errno == EAGAIN) continue;
-    error_ = TransportError::kClosed;
+    error_ = repl::LinkError::kClosed;
     return false;
   }
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  error_ = TransportError::kNone;
+  error_ = repl::LinkError::kNone;
   static metrics::Counter& accepts = metrics::counter("net.transport.accepts");
   accepts.add(1);
   return true;
@@ -195,7 +208,7 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
         const int wait_ms = poll_ms(deadline);
         if (wait_ms == 0) {
           drop_stream();
-          error_ = TransportError::kTimeout;
+          error_ = repl::LinkError::kTimeout;
           return false;
         }
         pollfd pfd{fd_, POLLOUT, 0};
@@ -203,12 +216,12 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
         if (ready < 0) {
           if (errno == EINTR) continue;
           drop_stream();
-          error_ = TransportError::kClosed;
+          error_ = repl::LinkError::kClosed;
           return false;
         }
         if (ready == 0) {  // budget spent mid-handshake (blackholed peer)
           drop_stream();
-          error_ = TransportError::kTimeout;
+          error_ = repl::LinkError::kTimeout;
           return false;
         }
         int so_error = 0;
@@ -225,7 +238,7 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
       if (flags >= 0) ::fcntl(fd_, F_SETFL, flags & ~O_NONBLOCK);
       const int one = 1;
       ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      error_ = TransportError::kNone;
+      error_ = repl::LinkError::kNone;
       static metrics::Counter& connects = metrics::counter("net.transport.connects");
       connects.add(1);
       return true;
@@ -241,7 +254,7 @@ bool TcpTransport::connect_to(const std::string& host, std::uint16_t port, int t
         std::chrono::microseconds(50'000));
     ::usleep(static_cast<unsigned>(nap.count()));
   }
-  error_ = TransportError::kTimeout;
+  error_ = repl::LinkError::kTimeout;
   return false;
 }
 
@@ -253,13 +266,13 @@ bool TcpTransport::send_bytes(const void* bytes, std::size_t len) {
     const ssize_t wrote = ::send(fd_, p + sent, len - sent, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) continue;
-      error_ = TransportError::kClosed;
+      error_ = repl::LinkError::kClosed;
       return false;
     }
     if (wrote == 0) {
       // Peer closed. errno is stale here and must not be consulted — a
       // leftover EINTR from an earlier call would spin this loop forever.
-      error_ = TransportError::kClosed;
+      error_ = repl::LinkError::kClosed;
       return false;
     }
     sent += static_cast<std::size_t>(wrote);
@@ -294,12 +307,12 @@ bool TcpTransport::write_frame(const FrameHeader& hdr, const void* payload) {
     const ssize_t wrote = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (wrote < 0) {
       if (errno == EINTR) continue;
-      error_ = TransportError::kClosed;
+      error_ = repl::LinkError::kClosed;
       return false;
     }
     if (wrote == 0) {
       // Peer closed; errno is stale for a zero return (see send_bytes).
-      error_ = TransportError::kClosed;
+      error_ = repl::LinkError::kClosed;
       return false;
     }
     sent += static_cast<std::size_t>(wrote);
@@ -307,7 +320,7 @@ bool TcpTransport::write_frame(const FrameHeader& hdr, const void* payload) {
   return true;
 }
 
-bool TcpTransport::read_fully(void* buf, std::size_t len, const Deadline& deadline) {
+std::size_t TcpTransport::read_fully(void* buf, std::size_t len, const Deadline& deadline) {
   auto* p = static_cast<std::uint8_t*>(buf);
   std::size_t got = 0;
   while (got < len) {
@@ -317,27 +330,27 @@ bool TcpTransport::read_fully(void* buf, std::size_t len, const Deadline& deadli
     pollfd pfd{fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, poll_ms(deadline));
     if (ready == 0) {
-      error_ = TransportError::kTimeout;
-      return false;
+      error_ = repl::LinkError::kTimeout;
+      return got;
     }
     if (ready < 0) {
       if (errno == EINTR) continue;
-      error_ = TransportError::kClosed;
-      return false;
+      error_ = repl::LinkError::kClosed;
+      return got;
     }
     const ssize_t n = ::read(fd_, p + got, len - got);
     if (n == 0) {
-      error_ = TransportError::kClosed;
-      return false;
+      error_ = repl::LinkError::kClosed;
+      return got;
     }
     if (n < 0) {
       if (errno == EINTR) continue;
-      error_ = TransportError::kClosed;
-      return false;
+      error_ = repl::LinkError::kClosed;
+      return got;
     }
     got += static_cast<std::size_t>(n);
   }
-  return true;
+  return got;
 }
 
 }  // namespace vrep::net

@@ -1,8 +1,11 @@
-// Byte-stream transport with message framing, used to emulate the SAN's
-// write-through channel over TCP (per DESIGN.md: we have no Memory Channel
-// hardware, so the two-process deployment ships the same redo packet stream
-// over a socket). The frame format, its two CRCs and what a failure of each
-// means are described once, in net/frame.hpp.
+// Framed byte-stream carriers for the redo protocol. A net::Transport is a
+// repl::ReplicationLink (frames, kinds and errors are the repl types) that
+// also owns a peer connection: close_peer() ends it and send_bytes() puts
+// raw bytes on it. The carriers that move real bytes — TcpTransport here,
+// InprocTransport in net/inproc_transport.hpp — share one StreamTransport;
+// FaultInjectingTransport (net/fault_transport.hpp) decorates either. The
+// frame format, its two CRCs and what a failure of each means are described
+// once, in net/frame.hpp.
 #pragma once
 
 #include <chrono>
@@ -12,61 +15,19 @@
 #include <string>
 #include <vector>
 
+#include "net/frame.hpp"
+#include "repl/link.hpp"
+
 namespace vrep::net {
 
-enum class MsgType : std::uint8_t {
-  kRedoBatch = 1,      // one committed transaction's redo entries
-  kHeartbeat = 2,      // primary liveness
-  kConsumerAck = 3,    // backup's applied sequence (flow control / monitoring)
-  kHello = 4,          // full-sync handshake: db size, starting state
-  kDbChunk = 5,        // initial database image transfer
-  kRejoinRequest = 6,  // backup -> primary: u64 last applied sequence
-  kRejoinDelta = 7,    // primary -> backup: u64 from_seq | u64 batch count
-  kEpochFence = 8,     // receiver -> stale sender: u64 current epoch
-  kRedoGroup = 9,      // group commit: several contiguous kRedoBatch payloads
-  kCkptBegin = 10,     // checkpoint install start: watermark + image geometry
-  kCkptChunk = 11,     // checkpoint page run: u64 offset | bytes
-  kCkptEnd = 12,       // checkpoint install end: watermark seq + full-image crc
-  kXPrepare = 13,      // 2PC phase 1: u64 xid | staged redo batch (in-doubt)
-  kXDecide = 14,       // 2PC phase 2: u64 xid | u8 commit (1) / abort (0)
-  // Client <-> AsyncServer frames (net-only: these never traverse a
-  // repl::ReplicationLink, so they have no repl::FrameKind counterpart).
-  kClientCommit = 15,  // client -> server: u64 op_id | u64 key | op bytes
-  kCommitReply = 16,   // server -> client: u64 op_id | u64 seq | u8 outcome
-  kReadRequest = 17,   // client -> server: u64 op_id | u64 key | u64 off |
-                       //                   u32 len | u64 min_seq
-  kReadReply = 18,     // server -> client: u64 op_id | u64 at_seq | u8 status
-                       //                   | data bytes (kOk only)
-};
+using MsgType = repl::FrameKind;         // old spelling; perfbench is its only user
+using Message = repl::Frame;             // old spelling; perfbench is its only user
+using TransportError = repl::LinkError;  // old spelling; perfbench is its only user
 
-struct Message {
-  MsgType type;
-  std::uint64_t epoch;
-  std::vector<std::uint8_t> payload;
-};
-
-enum class TransportError : std::uint8_t { kNone, kTimeout, kClosed, kCorrupt };
-
-// Abstract single-peer message transport. TcpTransport is the real thing;
-// FaultInjectingTransport decorates one with a seeded fault schedule.
-class Transport {
+// A replication link over one peer connection: it goes straight to
+// RedoPipeline::add_peer/attach_link and RedoApplier::on_frame.
+class Transport : public repl::ReplicationLink {
  public:
-  virtual ~Transport() = default;
-
-  // Send one framed message stamped with `epoch`. Returns false on a broken
-  // connection.
-  virtual bool send(MsgType type, std::uint64_t epoch, const void* payload,
-                    std::size_t len) = 0;
-
-  // Receive the next message, waiting up to timeout_ms (-1 = forever).
-  // nullopt on timeout or a broken/corrupt stream; distinguish with
-  // last_error(), and for kCorrupt check connected(): a payload CRC failure
-  // leaves the stream aligned and the connection open, a header CRC failure
-  // closes it.
-  virtual std::optional<Message> recv(int timeout_ms) = 0;
-
-  virtual TransportError last_error() const = 0;
-  virtual bool connected() const = 0;
   virtual void close_peer() = 0;
 
   // Raw bytes, no framing. For fault injection and torn-frame tests only:
@@ -74,8 +35,6 @@ class Transport {
   // frame (see net/frame.hpp) through any backend.
   virtual bool send_bytes(const void* bytes, std::size_t len) = 0;
 };
-
-struct FrameHeader;  // net/frame.hpp
 
 // An absolute time limit; nullopt waits forever.
 using Deadline = std::optional<std::chrono::steady_clock::time_point>;
@@ -85,23 +44,37 @@ using Deadline = std::optional<std::chrono::steady_clock::time_point>;
 // backend; a subclass only moves bytes.
 class StreamTransport : public Transport {
  public:
-  bool send(MsgType type, std::uint64_t epoch, const void* payload,
+  bool send(repl::FrameKind kind, std::uint64_t epoch, const void* payload,
             std::size_t len) final;
-  // One deadline bounds the whole frame, header and payload.
-  std::optional<Message> recv(int timeout_ms) final;
-  TransportError last_error() const final { return error_; }
+  // One deadline bounds the whole frame, header and payload. A frame cut
+  // short by the deadline is kept, and the next recv() resumes it.
+  std::optional<repl::Frame> recv(int timeout_ms) final;
+  repl::LinkError last_error() const final { return error_; }
 
  protected:
-  // Read exactly `len` bytes by `deadline`. On false, error_ says why
-  // (kTimeout, or kClosed: a torn frame looks the same as EOF).
-  virtual bool read_fully(void* buf, std::size_t len, const Deadline& deadline) = 0;
+  // Read up to `len` bytes by `deadline` and return how many arrived. Fewer
+  // than `len`: error_ says why (kTimeout, or kClosed: a torn frame looks the
+  // same as EOF).
+  virtual std::size_t read_fully(void* buf, std::size_t len, const Deadline& deadline) = 0;
   // Write the header and its hdr.len payload bytes as one frame. False on a
   // broken connection.
   virtual bool write_frame(const FrameHeader& hdr, const void* payload) = 0;
   // Close at once: framing is lost for good.
   virtual void drop_stream() = 0;
+  // Forget a partly received frame. recv() calls it when the stream closes
+  // or its framing is lost; a subclass calls it where it replaces or drops
+  // the byte stream (TcpTransport::drop_stream, which close_peer,
+  // accept_peer and connect_to go through; InprocTransport::pair).
+  void forget_partial_frame() { partial_bytes_ = 0; }
 
-  TransportError error_ = TransportError::kNone;
+  repl::LinkError error_ = repl::LinkError::kNone;
+
+ private:
+  // The frame being received: partial_bytes_ counts the bytes of its header,
+  // then of its payload, that have arrived.
+  FrameHeader header_{};
+  std::vector<std::uint8_t> payload_;
+  std::size_t partial_bytes_ = 0;
 };
 
 // Blocking, single-peer TCP transport. Deliberately minimal: the examples
@@ -132,7 +105,7 @@ class TcpTransport final : public StreamTransport {
  private:
   // Polls against the one deadline, so a peer trickling one byte per window
   // cannot restart the budget with each byte.
-  bool read_fully(void* buf, std::size_t len, const Deadline& deadline) override;
+  std::size_t read_fully(void* buf, std::size_t len, const Deadline& deadline) override;
   bool write_frame(const FrameHeader& hdr, const void* payload) override;
   // Close at once, without close_peer()'s linger: for a connect that never
   // completed (its deadline must hold) or a stream whose framing is lost.

@@ -1,59 +1,23 @@
-// Adapts a net::Transport (framed TCP, fault-injecting decorator, or the
-// in-process loopback) to the protocol engine's repl::ReplicationLink seam.
-// repl::FrameKind values match net::MsgType and repl::LinkError values match
-// net::TransportError by construction, so the adaptation is casts, not
-// tables.
+// A repl::ReplicationLink that forwards to a net::Transport. A Transport is
+// a ReplicationLink itself, so the library passes transports directly;
+// perfbench is this forwarder's only user.
 #pragma once
 
-#include <utility>
-
 #include "net/transport.hpp"
-#include "repl/link.hpp"
 
 namespace vrep::net {
 
-static_assert(static_cast<int>(repl::FrameKind::kRedoBatch) == static_cast<int>(MsgType::kRedoBatch) &&
-              static_cast<int>(repl::FrameKind::kEpochFence) == static_cast<int>(MsgType::kEpochFence) &&
-              static_cast<int>(repl::FrameKind::kRedoGroup) == static_cast<int>(MsgType::kRedoGroup) &&
-              static_cast<int>(repl::FrameKind::kCkptBegin) == static_cast<int>(MsgType::kCkptBegin) &&
-              static_cast<int>(repl::FrameKind::kCkptChunk) == static_cast<int>(MsgType::kCkptChunk) &&
-              static_cast<int>(repl::FrameKind::kCkptEnd) == static_cast<int>(MsgType::kCkptEnd) &&
-              static_cast<int>(repl::FrameKind::kXPrepare) == static_cast<int>(MsgType::kXPrepare) &&
-              static_cast<int>(repl::FrameKind::kXDecide) == static_cast<int>(MsgType::kXDecide));
-static_assert(static_cast<int>(repl::LinkError::kTimeout) == static_cast<int>(TransportError::kTimeout) &&
-              static_cast<int>(repl::LinkError::kCorrupt) == static_cast<int>(TransportError::kCorrupt));
-
 class TransportLink final : public repl::ReplicationLink {
  public:
-  explicit TransportLink(Transport* transport = nullptr) : transport_(transport) {}
-
-  // Point at a new transport after a reconnect (same or different object).
-  void attach(Transport* transport) { transport_ = transport; }
-  Transport* transport() const { return transport_; }
+  explicit TransportLink(Transport* transport) : transport_(transport) {}
 
   bool send(repl::FrameKind kind, std::uint64_t epoch, const void* payload,
             std::size_t len) override {
-    if (transport_ == nullptr) return false;
-    return transport_->send(static_cast<MsgType>(kind), epoch, payload, len);
+    return transport_->send(kind, epoch, payload, len);
   }
-
-  std::optional<repl::Frame> recv(int timeout_ms) override {
-    if (transport_ == nullptr) return std::nullopt;
-    auto msg = transport_->recv(timeout_ms);
-    if (!msg.has_value()) return std::nullopt;
-    return repl::Frame{static_cast<repl::FrameKind>(msg->type), msg->epoch,
-                       std::move(msg->payload)};
-  }
-
-  repl::LinkError last_error() const override {
-    if (transport_ == nullptr) return repl::LinkError::kClosed;
-    return static_cast<repl::LinkError>(transport_->last_error());
-  }
-
-  bool connected() const override { return transport_ != nullptr && transport_->connected(); }
-
-  // Transport sends are synchronous writes; there is nothing buffered to
-  // push, so the default no-op flush() stands.
+  std::optional<repl::Frame> recv(int timeout_ms) override { return transport_->recv(timeout_ms); }
+  repl::LinkError last_error() const override { return transport_->last_error(); }
+  bool connected() const override { return transport_->connected(); }
 
  private:
   Transport* transport_;

@@ -19,20 +19,8 @@ std::int64_t now_ms() {
 WirePrimary::WirePrimary(rio::Arena& arena, const core::StoreConfig& config,
                          Transport* transport, bool format, cluster::Membership* membership,
                          Lineage lineage, std::size_t redo_history_bytes)
-    : PrimaryStore(owned_bus, arena, config, format, membership, lineage, redo_history_bytes),
-      link_(transport) {
-  pipeline().attach_link(0, &link_);
-}
-
-std::size_t WirePrimary::add_backup(Transport* transport) {
-  extra_links_.push_back(std::make_unique<TransportLink>(transport));
-  return pipeline().add_peer(extra_links_.back().get());
-}
-
-void WirePrimary::attach_transport(std::size_t peer, Transport* transport) {
-  TransportLink* link = peer == 0 ? &link_ : extra_links_.at(peer - 1).get();
-  link->attach(transport);
-  pipeline().attach_link(peer, link);
+    : PrimaryStore(owned_bus, arena, config, format, membership, lineage, redo_history_bytes) {
+  pipeline().attach_link(0, transport);
 }
 
 // ---------------------------------------------------------------------------
@@ -42,12 +30,11 @@ void WireBackup::write(std::uint64_t off, const void* src, std::size_t len) {
 }
 
 WireBackup::ServeResult WireBackup::serve(Transport& transport, const ServeOptions& options) {
-  TransportLink link(&transport);
   while (true) {
-    auto frame = link.recv(options.idle_timeout_ms);
+    auto frame = transport.recv(options.idle_timeout_ms);
     const std::int64_t now = now_ms();
     if (!frame.has_value()) {
-      switch (link.last_error()) {
+      switch (transport.last_error()) {
         case repl::LinkError::kTimeout:
           // Silence. Without a detector the idle timeout *is* the failure
           // budget (legacy behaviour); with one, only a tripped
@@ -59,7 +46,7 @@ WireBackup::ServeResult WireBackup::serve(Transport& transport, const ServeOptio
         case repl::LinkError::kClosed:
           return ServeResult::kConnectionLost;
         case repl::LinkError::kCorrupt:
-          if (!link.connected()) {
+          if (!transport.connected()) {
             // Header corruption: framing is lost, the transport closed the
             // stream. Recovery is reconnect + rejoin.
             return ServeResult::kConnectionLost;
@@ -69,7 +56,7 @@ WireBackup::ServeResult WireBackup::serve(Transport& transport, const ServeOptio
           // an in-band resync from the last good sequence.
           {
             std::lock_guard<std::mutex> lock(apply_mu_);
-            applier_.note_corrupt_skipped(link);
+            applier_.note_corrupt_skipped(transport);
           }
           continue;
         default:
@@ -82,7 +69,7 @@ WireBackup::ServeResult WireBackup::serve(Transport& transport, const ServeOptio
       // Atomic with respect to read()/watermark(): a concurrent reader sees
       // whole batches only, never a half-applied group.
       std::lock_guard<std::mutex> lock(apply_mu_);
-      applied = applier_.on_frame(*frame, link);
+      applied = applier_.on_frame(*frame, transport);
     }
     if (applied == repl::RedoApplier::FrameResult::kCorrupt) {
       return ServeResult::kCorrupt;

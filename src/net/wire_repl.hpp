@@ -8,7 +8,7 @@
 // modes — lives in repl::RedoPipeline / repl::RedoApplier (repl/pipeline.hpp).
 // This file is pure composition: it binds the engine to a local Version 3
 // store (primary, through repl::PrimaryStore) or a replica arena (backup)
-// and to a net::Transport via net::TransportLink.
+// and to net::Transports, which are repl::ReplicationLinks themselves.
 //
 // Frame payloads (all frames CRC-protected and epoch-stamped by the
 // transport; kinds in repl/link.hpp):
@@ -43,13 +43,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "cluster/failure_detector.hpp"
 #include "cluster/membership.hpp"
 #include "core/api.hpp"
 #include "net/transport.hpp"
-#include "net/transport_link.hpp"
 #include "repl/pipeline.hpp"
 #include "repl/primary_store.hpp"
 #include "rio/arena.hpp"
@@ -65,7 +63,7 @@ struct PassThroughBus {
 };
 
 // The active primary over real transports: a repl::PrimaryStore (local V3
-// store + RedoPipeline) whose pipeline peers are TransportLinks.
+// store + RedoPipeline) whose pipeline peers are net::Transports.
 class WirePrimary final : private PassThroughBus, public repl::PrimaryStore {
  public:
   // The local store runs Version 3 on a pass-through bus over `arena`.
@@ -83,7 +81,7 @@ class WirePrimary final : private PassThroughBus, public repl::PrimaryStore {
 
   // Attach another backup over its own transport; returns the pipeline peer
   // index (the constructor's transport is peer 0).
-  std::size_t add_backup(Transport* transport);
+  std::size_t add_backup(Transport* transport) { return pipeline().add_peer(transport); }
 
   // Await a backup's kRejoinRequest on `peer` after a (re)connect and serve
   // it: a kRejoinDelta replay from the redo history when the gap is
@@ -95,7 +93,9 @@ class WirePrimary final : private PassThroughBus, public repl::PrimaryStore {
 
   // Point a peer at a new transport after a reconnect (same or different
   // object).
-  void attach_transport(std::size_t peer, Transport* transport);
+  void attach_transport(std::size_t peer, Transport* transport) {
+    pipeline().attach_link(peer, transport);
+  }
 
   bool send_heartbeat() { return pipeline().send_heartbeat(); }
   bool connection_alive() const { return pipeline().connection_alive(); }
@@ -108,10 +108,6 @@ class WirePrimary final : private PassThroughBus, public repl::PrimaryStore {
   std::uint64_t peer_acked_seq(std::size_t peer) const {
     return pipeline().peer_acked_seq(peer);
   }
-
- private:
-  TransportLink link_;
-  std::vector<std::unique_ptr<TransportLink>> extra_links_;
 };
 
 // Backup-side replica state: a database image plus the applied sequence.
@@ -158,10 +154,7 @@ class WireBackup : private repl::RedoApplier::Target {
   // Announce our applied sequence after a (re)connect; the primary answers
   // with a delta replay or a full image sync. A fresh backup (nothing
   // applied, no image) asks from sequence 0, which always yields the image.
-  bool request_rejoin(Transport& transport) {
-    TransportLink link(&transport);
-    return applier_.request_rejoin(link);
-  }
+  bool request_rejoin(Transport& transport) { return applier_.request_rejoin(transport); }
 
   // Seed the replica from an existing database image (e.g. a demoted
   // primary rejoining with its own last state), so rejoin can catch up

@@ -2,14 +2,21 @@
 //
 // The active scheme is ONE protocol — a sequenced, checksummed redo stream
 // with flow control, rejoin and epoch fencing — that this repo runs over
-// three very different carriers: the simulated Memory Channel ring (virtual
-// time), a framed TCP byte stream (wall clock, two processes), and an
-// in-process loopback queue (wall clock, two threads). `ReplicationLink` is
-// the seam between the protocol engine (`repl/pipeline.hpp`) and those
-// carriers: a frame is the unit of atomic, CRC-protected, epoch-stamped
-// delivery, and everything below it (byte framing, ring entry packing,
-// write-buffer coalescing, virtual-time cost charging, socket plumbing) is
-// the backend's private business.
+// several carriers, each a `ReplicationLink`:
+//   * McRingLink (repl/mc_ring_link.hpp) — the simulated Memory Channel ring
+//     (virtual time);
+//   * every net::Transport (net/transport.hpp): TcpTransport, a framed TCP
+//     byte stream between two processes; InprocTransport, the same framed
+//     stream between two threads; FaultInjectingTransport, a seeded chaos
+//     decorator over either;
+//   * InlineLink (shard/sharded_cluster.cpp) — synchronous in-process
+//     delivery for the deterministic sharded cluster.
+// QueueLink (below) is the reply direction of McRingLink and InlineLink.
+// `ReplicationLink` is the seam between the protocol engine
+// (`repl/pipeline.hpp`) and those carriers: a frame is the unit of atomic,
+// CRC-protected, epoch-stamped delivery, and everything below it (byte
+// framing, ring entry packing, write-buffer coalescing, virtual-time cost
+// charging, socket plumbing) is the backend's private business.
 //
 // Contract every backend provides:
 //   * send() delivers the frame whole or not at all, applying backpressure
@@ -18,8 +25,9 @@
 //     loopback blocks on a condition variable). Returns false only when the
 //     peer is unreachable (the frame may or may not have been lost).
 //   * recv() returns the next frame, nullopt on timeout / broken stream /
-//     corrupt frame — distinguished via last_error(), with the same
-//     recoverable-vs-fatal split as net/transport.hpp: a kCorrupt with
+//     corrupt frame — distinguished via last_error(). kTimeout means nothing
+//     was lost: the stream is aligned, and a frame that was partly received
+//     when the time ran out is resumed by the next recv(). A kCorrupt with
 //     connected() still true means the stream is aligned and the frame was
 //     skipped in place; kCorrupt with connected() false (or kClosed) means
 //     framing is lost and recovery is reconnect + rejoin.
@@ -35,8 +43,8 @@
 
 namespace vrep::repl {
 
-// Frame kinds, shared by every backend. Values match net::MsgType so the
-// TCP/loopback adapter is a cast, not a table.
+// Frame kinds, shared by every backend. The value is the wire type byte of
+// net/frame.hpp.
 enum class FrameKind : std::uint8_t {
   kRedoBatch = 1,      // one committed transaction's redo chunks
   kHeartbeat = 2,      // primary liveness + committed sequence
@@ -52,6 +60,13 @@ enum class FrameKind : std::uint8_t {
   kCkptEnd = 12,       // checkpoint install end: watermark seq + full-image crc
   kXPrepare = 13,      // 2PC phase 1: u64 xid | staged redo batch (in-doubt)
   kXDecide = 14,       // 2PC phase 2: u64 xid | u8 commit (1) / abort (0)
+  // Client <-> net::AsyncServer frames; the redo protocol never sends them.
+  kClientCommit = 15,  // client -> server: u64 op_id | u64 key | op bytes
+  kCommitReply = 16,   // server -> client: u64 op_id | u64 seq | u8 outcome
+  kReadRequest = 17,   // client -> server: u64 op_id | u64 key | u64 off |
+                       //                   u32 len | u64 min_seq
+  kReadReply = 18,     // server -> client: u64 op_id | u64 at_seq | u8 status
+                       //                   | data bytes (kOk only)
 };
 
 struct Frame {

@@ -135,6 +135,7 @@ std::size_t RedoPipeline::add_peer(ReplicationLink* link) {
 }
 
 void RedoPipeline::attach_link(std::size_t peer, ReplicationLink* link) {
+  VREP_CHECK(peer < peers_.size());
   PeerSlot& p = peers_[peer];
   p.link = link;
   p.alive = link != nullptr && link->connected();

@@ -5,11 +5,13 @@
 // against a local Version 3 store, whose write capture stages every modified
 // byte range into a repl::RedoPipeline; commit_transaction() commits locally
 // and hands the batch to the pipeline under the local commit sequence. The
-// carriers live in the derived classes, which construct their links and
-// attach them as pipeline peers (slot 0 first, once its carrier exists):
+// carriers live in the derived classes, which attach them as pipeline peers
+// (slot 0 first, once its carrier exists):
 //
-//   * repl::ActivePrimary — simulated Memory Channel rings (McRingLink);
-//   * net::WirePrimary    — real transports (TransportLink).
+//   * repl::ActivePrimary — simulated Memory Channel rings (McRingLinks it
+//                           builds);
+//   * net::WirePrimary    — real transports (each net::Transport is a
+//                           ReplicationLink, attached as is).
 #pragma once
 
 #include <cstdint>

@@ -143,13 +143,13 @@ std::vector<std::uint8_t> read_payload(std::uint64_t op_id, std::uint64_t key,
 bool send_commit(net::TcpTransport& client, std::uint64_t op_id, std::uint64_t key,
                  std::uint64_t off, std::uint64_t value) {
   const std::vector<std::uint8_t> payload = commit_payload(op_id, key, off, value);
-  return client.send(net::MsgType::kClientCommit, 1, payload.data(), payload.size());
+  return client.send(repl::FrameKind::kClientCommit, 1, payload.data(), payload.size());
 }
 
 bool send_read(net::TcpTransport& client, std::uint64_t op_id, std::uint64_t key,
                std::uint64_t off, std::uint32_t len, std::uint64_t min_seq) {
   const std::vector<std::uint8_t> payload = read_payload(op_id, key, off, len, min_seq);
-  return client.send(net::MsgType::kReadRequest, 1, payload.data(), payload.size());
+  return client.send(repl::FrameKind::kReadRequest, 1, payload.data(), payload.size());
 }
 
 struct CommitReply {
@@ -160,8 +160,8 @@ struct CommitReply {
 
 std::optional<CommitReply> recv_commit_reply(net::TcpTransport& client,
                                              int timeout_ms = 5000) {
-  std::optional<net::Message> msg = client.recv(timeout_ms);
-  if (!msg.has_value() || msg->type != net::MsgType::kCommitReply ||
+  std::optional<repl::Frame> msg = client.recv(timeout_ms);
+  if (!msg.has_value() || msg->kind != repl::FrameKind::kCommitReply ||
       msg->payload.size() != 17) {
     return std::nullopt;
   }
@@ -180,8 +180,8 @@ struct ReadReply {
 };
 
 std::optional<ReadReply> recv_read_reply(net::TcpTransport& client, int timeout_ms = 5000) {
-  std::optional<net::Message> msg = client.recv(timeout_ms);
-  if (!msg.has_value() || msg->type != net::MsgType::kReadReply ||
+  std::optional<repl::Frame> msg = client.recv(timeout_ms);
+  if (!msg.has_value() || msg->kind != repl::FrameKind::kReadReply ||
       msg->payload.size() < 17) {
     return std::nullopt;
   }
@@ -421,9 +421,9 @@ TEST(AsyncServer, MidBatchProtocolViolationClosesTheConnNotTheServer) {
   };
   const std::vector<std::uint8_t> first = commit_payload(1, 1, 512, 0x1111);
   const std::vector<std::uint8_t> trailing = commit_payload(2, 1, 520, 0x2222);
-  append(net::encode_frame(net::MsgType::kClientCommit, 1, first.data(), first.size()));
-  append(net::encode_frame(static_cast<net::MsgType>(0x6e), 1, nullptr, 0));
-  append(net::encode_frame(net::MsgType::kClientCommit, 1, trailing.data(), trailing.size()));
+  append(net::encode_frame(repl::FrameKind::kClientCommit, 1, first.data(), first.size()));
+  append(net::encode_frame(static_cast<repl::FrameKind>(0x6e), 1, nullptr, 0));
+  append(net::encode_frame(repl::FrameKind::kClientCommit, 1, trailing.data(), trailing.size()));
   ASSERT_TRUE(client.send_bytes(wire.data(), wire.size()));
 
   // The violation closes the connection before the first (2-safe, pending)
@@ -431,7 +431,7 @@ TEST(AsyncServer, MidBatchProtocolViolationClosesTheConnNotTheServer) {
   // ticket still resolves inside the server and is dropped on the floor
   // (reply-to-a-dead-conn path).
   EXPECT_FALSE(recv_commit_reply(client, 2000).has_value());
-  EXPECT_EQ(client.last_error(), net::TransportError::kClosed);
+  EXPECT_EQ(client.last_error(), repl::LinkError::kClosed);
   EXPECT_EQ(server.stats().commits_submitted.load(), 1u)
       << "the frame behind the violation must never dispatch";
 
@@ -557,11 +557,11 @@ net::mutation::Frame random_client_frame(std::uint8_t tag, Rng& rng) {
   const std::uint64_t off = rng.below(kDbSize / 8) * 8;
   if (rng.below(2) == 0) {
     const std::uint64_t value = rng.next_u64();
-    return net::mutation::make_frame(net::MsgType::kClientCommit, tag, rng,
+    return net::mutation::make_frame(repl::FrameKind::kClientCommit, tag, rng,
                                      commit_payload(op_id, key, off, value));
   }
   const auto len = static_cast<std::uint32_t>(1 + rng.below(8));
-  return net::mutation::make_frame(net::MsgType::kReadRequest, tag, rng,
+  return net::mutation::make_frame(repl::FrameKind::kReadRequest, tag, rng,
                                    read_payload(op_id, key, off, len, /*min_seq=*/0));
 }
 
@@ -600,7 +600,7 @@ TEST(AsyncServer, ClosesMutatedFrameStreamsAndKeepsServing) {
     for (int replies = 0; client.recv(2000).has_value(); ++replies) {
       ASSERT_LT(replies, may_answer) << "a damaged frame was answered";
     }
-    EXPECT_EQ(client.last_error(), net::TransportError::kClosed)
+    EXPECT_EQ(client.last_error(), repl::LinkError::kClosed)
         << "the server must close a connection whose framing is lost";
     EXPECT_EQ(server.stats().conns_corrupt.load(), corrupt_before + 1);
 

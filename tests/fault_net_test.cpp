@@ -82,7 +82,7 @@ TEST(FaultInjector, ScheduleIsDeterministicPerSeed) {
     LoopbackPair pair;
     FaultInjectingTransport chaos(pair.client, plan);
     for (std::uint32_t i = 0; i < 300; ++i) {
-      ASSERT_TRUE(chaos.send(MsgType::kRedoBatch, 1, &i, 4));
+      ASSERT_TRUE(chaos.send(repl::FrameKind::kRedoBatch, 1, &i, 4));
       // Drain as we go so the loopback socket buffers never fill up.
       while (pair.server.recv(0).has_value()) received[run]++;
     }
@@ -109,7 +109,7 @@ TEST(FaultInjector, DifferentSeedsDiverge) {
     LoopbackPair pair;
     FaultInjectingTransport chaos(pair.client, plan);
     for (std::uint32_t i = 0; i < 200; ++i) {
-      ASSERT_TRUE(chaos.send(MsgType::kHeartbeat, 1, &i, 4));
+      ASSERT_TRUE(chaos.send(repl::FrameKind::kHeartbeat, 1, &i, 4));
       while (auto msg = pair.server.recv(0)) {
         std::uint32_t got;
         std::memcpy(&got, msg->payload.data(), 4);

@@ -30,7 +30,7 @@ constexpr std::uint64_t kSeedBase = 0x5eed0000u;
 inline std::string seed_note(std::uint64_t seed) { return "seed " + std::to_string(seed); }
 
 struct Frame {
-  MsgType type;
+  repl::FrameKind kind;
   std::uint64_t epoch;
   std::vector<std::uint8_t> payload;
   std::vector<std::uint8_t> bytes;  // encoded
@@ -38,15 +38,15 @@ struct Frame {
 
 // `tag` becomes the epoch's low byte, so the frames of one case never share
 // their first byte and a splice can never reproduce one of them.
-inline Frame make_frame(MsgType type, std::uint8_t tag, Rng& rng,
+inline Frame make_frame(repl::FrameKind kind, std::uint8_t tag, Rng& rng,
                         std::vector<std::uint8_t> payload) {
   const std::uint64_t epoch = (rng.next_u64() << 8) | tag;
-  std::vector<std::uint8_t> bytes = encode_frame(type, epoch, payload.data(), payload.size());
-  return Frame{type, epoch, std::move(payload), std::move(bytes)};
+  std::vector<std::uint8_t> bytes = encode_frame(kind, epoch, payload.data(), payload.size());
+  return Frame{kind, epoch, std::move(payload), std::move(bytes)};
 }
 
-inline bool same(const Message& msg, const Frame& frame) {
-  return msg.type == frame.type && msg.epoch == frame.epoch && msg.payload == frame.payload;
+inline bool same(const repl::Frame& got, const Frame& frame) {
+  return got.kind == frame.kind && got.epoch == frame.epoch && got.payload == frame.payload;
 }
 
 // What a correct reader must do with a mutated frame.

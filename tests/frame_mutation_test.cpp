@@ -26,7 +26,7 @@ constexpr std::size_t kMaxTestPayload = 256;
 Frame random_frame(std::uint8_t tag, Rng& rng) {
   std::vector<std::uint8_t> payload(rng.below(kMaxTestPayload + 1));
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u32());
-  return make_frame(static_cast<MsgType>(1 + rng.below(18)), tag, rng, std::move(payload));
+  return make_frame(static_cast<repl::FrameKind>(1 + rng.below(18)), tag, rng, std::move(payload));
 }
 
 void run_stream_case(std::uint64_t seed) {
@@ -43,10 +43,10 @@ void run_stream_case(std::uint64_t seed) {
   switch (m.expect) {
     case Expect::kIntact: {
       ASSERT_TRUE(tx.send_bytes(next.bytes.data(), next.bytes.size()));
-      const std::optional<Message> got = rx.recv(kRecvMs);
+      const std::optional<repl::Frame> got = rx.recv(kRecvMs);
       ASSERT_TRUE(got.has_value()) << "a pad-only flip must decode";
       EXPECT_TRUE(same(*got, f));
-      const std::optional<Message> after = rx.recv(kRecvMs);
+      const std::optional<repl::Frame> after = rx.recv(kRecvMs);
       ASSERT_TRUE(after.has_value());
       EXPECT_TRUE(same(*after, next));
       return;
@@ -54,9 +54,9 @@ void run_stream_case(std::uint64_t seed) {
     case Expect::kSkip: {
       ASSERT_TRUE(tx.send_bytes(next.bytes.data(), next.bytes.size()));
       EXPECT_FALSE(rx.recv(kRecvMs).has_value()) << "a damaged payload decoded as valid";
-      EXPECT_EQ(rx.last_error(), TransportError::kCorrupt);
+      EXPECT_EQ(rx.last_error(), repl::LinkError::kCorrupt);
       EXPECT_TRUE(rx.connected()) << "a payload CRC failure must leave the stream open";
-      const std::optional<Message> after = rx.recv(kRecvMs);
+      const std::optional<repl::Frame> after = rx.recv(kRecvMs);
       ASSERT_TRUE(after.has_value()) << "the frame after a skipped one must decode";
       EXPECT_TRUE(same(*after, next));
       return;
@@ -64,13 +64,13 @@ void run_stream_case(std::uint64_t seed) {
     case Expect::kClose:
       ASSERT_TRUE(tx.send_bytes(next.bytes.data(), next.bytes.size()));
       EXPECT_FALSE(rx.recv(kRecvMs).has_value()) << "a damaged header decoded as valid";
-      EXPECT_EQ(rx.last_error(), TransportError::kCorrupt);
+      EXPECT_EQ(rx.last_error(), repl::LinkError::kCorrupt);
       EXPECT_FALSE(rx.connected()) << "a header CRC failure must close the stream";
       return;
     case Expect::kTorn:
       tx.close_peer();
       EXPECT_FALSE(rx.recv(kRecvMs).has_value()) << "a torn frame decoded as valid";
-      EXPECT_EQ(rx.last_error(), TransportError::kClosed);
+      EXPECT_EQ(rx.last_error(), repl::LinkError::kClosed);
       return;
     case Expect::kNoValid: {
       ASSERT_TRUE(tx.send_bytes(next.bytes.data(), next.bytes.size()));
@@ -78,11 +78,11 @@ void run_stream_case(std::uint64_t seed) {
       const bool f_whole = keeps(m, f);
       // Drain what is buffered; every recv consumes at least a header.
       for (;;) {
-        const std::optional<Message> got = rx.recv(0);
+        const std::optional<repl::Frame> got = rx.recv(0);
         if (got.has_value()) {
           EXPECT_TRUE(same(*got, next) || same(*got, last) || (f_whole && same(*got, f)))
               << "a spliced frame decoded as valid";
-        } else if (rx.last_error() != TransportError::kCorrupt || !rx.connected()) {
+        } else if (rx.last_error() != repl::LinkError::kCorrupt || !rx.connected()) {
           return;
         }
       }

@@ -1,4 +1,5 @@
-// TCP transport framing and wire replication (loopback, two threads).
+// The framing contract of both framed carriers (TCP and in-process), the
+// TCP accept/connect deadlines, and wire replication over TCP.
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <signal.h>
@@ -7,10 +8,13 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "net/frame.hpp"
+#include "net/inproc_transport.hpp"
 #include "net/transport.hpp"
 #include "net/wire_repl.hpp"
 #include "util/rng.hpp"
@@ -18,124 +22,182 @@
 namespace vrep::net {
 namespace {
 
-struct LoopbackPair {
-  LoopbackPair() {
-    EXPECT_TRUE(server.listen(0));
-    std::thread connector([this] { client_ok = client.connect_to("127.0.0.1", server.bound_port()); });
-    EXPECT_TRUE(server.accept_peer());
+// Two connected endpoints of one carrier: `tx` sends, `rx` receives.
+struct TcpPair {
+  TcpPair() {
+    EXPECT_TRUE(rx.listen(0));
+    std::thread connector([this] { tx_ok = tx.connect_to("127.0.0.1", rx.bound_port()); });
+    EXPECT_TRUE(rx.accept_peer());
     connector.join();
-    EXPECT_TRUE(client_ok);
+    EXPECT_TRUE(tx_ok);
   }
-  TcpTransport server, client;
-  bool client_ok = false;
+  TcpTransport rx, tx;
+  bool tx_ok = false;
 };
 
-TEST(Transport, RoundTripsFramedMessages) {
-  LoopbackPair pair;
+struct InprocPair {
+  InprocPair() { InprocTransport::pair(tx, rx); }
+  InprocTransport rx, tx;
+};
+
+// The framing contract every framed carrier keeps. The receiving end is
+// driven through repl::ReplicationLink, as the protocol engine drives it;
+// the sending end also needs Transport's raw send_bytes() and close_peer().
+template <typename Pair>
+class CarrierContract : public ::testing::Test {
+ protected:
+  repl::ReplicationLink& rx() { return pair_.rx; }
+  Transport& tx() { return pair_.tx; }
+
+ private:
+  Pair pair_;
+};
+
+struct CarrierName {
+  template <typename Pair>
+  static std::string GetName(int) {
+    return std::is_same_v<Pair, TcpPair> ? "Tcp" : "Inproc";
+  }
+};
+using Carriers = ::testing::Types<TcpPair, InprocPair>;
+TYPED_TEST_SUITE(CarrierContract, Carriers, CarrierName);
+
+TYPED_TEST(CarrierContract, RoundTripsFramedMessages) {
   const char payload[] = "hello backup";
-  ASSERT_TRUE(pair.client.send(MsgType::kHeartbeat, /*epoch=*/7, payload, sizeof payload));
-  auto msg = pair.server.recv(1000);
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->type, MsgType::kHeartbeat);
-  EXPECT_EQ(msg->epoch, 7u);
-  ASSERT_EQ(msg->payload.size(), sizeof payload);
-  EXPECT_EQ(std::memcmp(msg->payload.data(), payload, sizeof payload), 0);
+  ASSERT_TRUE(this->tx().send(repl::FrameKind::kHeartbeat, /*epoch=*/7, payload, sizeof payload));
+  auto frame = this->rx().recv(1000);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->kind, repl::FrameKind::kHeartbeat);
+  EXPECT_EQ(frame->epoch, 7u);
+  ASSERT_EQ(frame->payload.size(), sizeof payload);
+  EXPECT_EQ(std::memcmp(frame->payload.data(), payload, sizeof payload), 0);
 }
 
-TEST(Transport, ManyMessagesArriveInOrder) {
-  LoopbackPair pair;
+TYPED_TEST(CarrierContract, ManyMessagesArriveInOrder) {
   for (std::uint32_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE(pair.client.send(MsgType::kRedoBatch, 1, &i, 4));
+    ASSERT_TRUE(this->tx().send(repl::FrameKind::kRedoBatch, 1, &i, 4));
   }
   for (std::uint32_t i = 0; i < 500; ++i) {
-    auto msg = pair.server.recv(1000);
-    ASSERT_TRUE(msg.has_value());
+    auto frame = this->rx().recv(1000);
+    ASSERT_TRUE(frame.has_value());
     std::uint32_t got;
-    std::memcpy(&got, msg->payload.data(), 4);
+    std::memcpy(&got, frame->payload.data(), 4);
     ASSERT_EQ(got, i);
   }
 }
 
-TEST(Transport, LargePayload) {
-  LoopbackPair pair;
+TYPED_TEST(CarrierContract, LargePayload) {
   std::vector<std::uint8_t> big(3u << 20);
   Rng rng(5);
   for (auto& b : big) b = static_cast<std::uint8_t>(rng.next_u32());
-  std::thread sender([&] { pair.client.send(MsgType::kDbChunk, 1, big.data(), big.size()); });
-  auto msg = pair.server.recv(5000);
+  std::thread sender(
+      [&] { this->tx().send(repl::FrameKind::kDbChunk, 1, big.data(), big.size()); });
+  auto frame = this->rx().recv(5000);
   sender.join();
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->payload, big);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->payload, big);
 }
 
-TEST(Transport, PayloadCorruptionIsSkippableInStream) {
+TYPED_TEST(CarrierContract, PayloadCorruptionIsSkippableInStream) {
   // A frame whose payload CRC fails must leave the stream aligned: the
   // receiver reports kCorrupt but stays connected and can read the next
   // frame.
-  LoopbackPair pair;
   const char good[] = "intact";
-  auto bad = encode_frame(MsgType::kRedoBatch, 1, good, sizeof good);
+  auto bad = encode_frame(repl::FrameKind::kRedoBatch, 1, good, sizeof good);
   bad.back() ^= 0x01;  // flip a payload bit; header CRC still matches
-  ASSERT_TRUE(pair.client.send_bytes(bad.data(), bad.size()));
-  ASSERT_TRUE(pair.client.send(MsgType::kHeartbeat, 1, good, sizeof good));
+  ASSERT_TRUE(this->tx().send_bytes(bad.data(), bad.size()));
+  ASSERT_TRUE(this->tx().send(repl::FrameKind::kHeartbeat, 1, good, sizeof good));
 
-  auto first = pair.server.recv(1000);
+  auto first = this->rx().recv(1000);
   EXPECT_FALSE(first.has_value());
-  EXPECT_EQ(pair.server.last_error(), TransportError::kCorrupt);
-  EXPECT_TRUE(pair.server.connected());
-  auto second = pair.server.recv(1000);
+  EXPECT_EQ(this->rx().last_error(), repl::LinkError::kCorrupt);
+  EXPECT_TRUE(this->rx().connected());
+  auto second = this->rx().recv(1000);
   ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->type, MsgType::kHeartbeat);
+  EXPECT_EQ(second->kind, repl::FrameKind::kHeartbeat);
 }
 
-TEST(Transport, HeaderCorruptionClosesTheStream) {
+TYPED_TEST(CarrierContract, HeaderCorruptionClosesTheStream) {
   // If the header CRC fails, the length field cannot be trusted and framing
   // is lost for good: the transport reports kCorrupt and disconnects.
-  LoopbackPair pair;
   const char payload[] = "doomed";
-  auto frame = encode_frame(MsgType::kRedoBatch, 1, payload, sizeof payload);
+  auto frame = encode_frame(repl::FrameKind::kRedoBatch, 1, payload, sizeof payload);
   frame[8] ^= 0x40;  // flip a bit in the length field
-  ASSERT_TRUE(pair.client.send_bytes(frame.data(), frame.size()));
-  auto msg = pair.server.recv(1000);
-  EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TransportError::kCorrupt);
-  EXPECT_FALSE(pair.server.connected());
+  ASSERT_TRUE(this->tx().send_bytes(frame.data(), frame.size()));
+  auto got = this->rx().recv(1000);
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(this->rx().last_error(), repl::LinkError::kCorrupt);
+  EXPECT_FALSE(this->rx().connected());
 }
 
-TEST(Transport, TornFrameReportsClosedNotGarbage) {
+TYPED_TEST(CarrierContract, TornFrameReportsClosedNotGarbage) {
   // Kill the sender mid-frame: the receiver must report kClosed (torn
   // stream), never hand out a partial message.
-  LoopbackPair pair;
   std::vector<std::uint8_t> payload(4096, 0xab);
   const auto frame =
-      encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
-  ASSERT_TRUE(pair.client.send_bytes(frame.data(), frame.size() / 2));
-  pair.client.close_peer();
-  auto msg = pair.server.recv(1000);
-  EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TransportError::kClosed);
+      encode_frame(repl::FrameKind::kRedoBatch, 1, payload.data(), payload.size());
+  ASSERT_TRUE(this->tx().send_bytes(frame.data(), frame.size() / 2));
+  this->tx().close_peer();
+  auto got = this->rx().recv(1000);
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(this->rx().last_error(), repl::LinkError::kClosed);
 }
 
-TEST(Transport, RecvTimesOutWhenSilent) {
-  LoopbackPair pair;
-  auto msg = pair.server.recv(50);
-  EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TransportError::kTimeout);
+TYPED_TEST(CarrierContract, RecvTimesOutWhenSilent) {
+  for (const int timeout_ms : {50, 0}) {
+    auto frame = this->rx().recv(timeout_ms);
+    EXPECT_FALSE(frame.has_value()) << "recv(" << timeout_ms << ")";
+    EXPECT_EQ(this->rx().last_error(), repl::LinkError::kTimeout) << "recv(" << timeout_ms << ")";
+    EXPECT_TRUE(this->rx().connected());
+  }
 }
 
-TEST(Transport, ClosedPeerIsDetected) {
-  LoopbackPair pair;
-  pair.client.close_peer();
-  auto msg = pair.server.recv(1000);
-  EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TransportError::kClosed);
+TYPED_TEST(CarrierContract, ClosedPeerIsDetected) {
+  this->tx().close_peer();
+  auto frame = this->rx().recv(1000);
+  EXPECT_FALSE(frame.has_value());
+  EXPECT_EQ(this->rx().last_error(), repl::LinkError::kClosed);
+}
+
+TYPED_TEST(CarrierContract, FrameCutByTimeoutResumesOnNextRecv) {
+  // kTimeout means the stream is aligned and nothing was lost: a frame cut
+  // by the deadline, inside its header or its payload, is finished by the
+  // next recv, and the frame behind it follows intact (not parsed from the
+  // middle of the late one, which would read as a corrupt header and close
+  // the stream).
+  std::vector<std::uint8_t> payload(256);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i);
+  const auto frame =
+      encode_frame(repl::FrameKind::kRedoBatch, 5, payload.data(), payload.size());
+  constexpr std::size_t kHeader = sizeof(FrameHeader);
+  for (const std::size_t cut : {std::size_t{10}, kHeader, kHeader + 100}) {
+    SCOPED_TRACE("cut after " + std::to_string(cut) + " bytes");
+    ASSERT_TRUE(this->tx().send_bytes(frame.data(), cut));
+    for (const int timeout_ms : {50, 0}) {
+      EXPECT_FALSE(this->rx().recv(timeout_ms).has_value());
+      EXPECT_EQ(this->rx().last_error(), repl::LinkError::kTimeout);
+      EXPECT_TRUE(this->rx().connected());
+    }
+    ASSERT_TRUE(this->tx().send_bytes(frame.data() + cut, frame.size() - cut));
+    const std::uint32_t beat = 9;
+    ASSERT_TRUE(this->tx().send(repl::FrameKind::kHeartbeat, 5, &beat, sizeof beat));
+
+    auto late = this->rx().recv(500);
+    ASSERT_TRUE(late.has_value()) << "error " << static_cast<int>(this->rx().last_error());
+    EXPECT_EQ(late->kind, repl::FrameKind::kRedoBatch);
+    EXPECT_EQ(late->epoch, 5u);
+    EXPECT_EQ(late->payload, payload);
+    auto next = this->rx().recv(500);
+    ASSERT_TRUE(next.has_value()) << "error " << static_cast<int>(this->rx().last_error());
+    EXPECT_EQ(next->kind, repl::FrameKind::kHeartbeat);
+    EXPECT_TRUE(this->rx().connected());
+  }
 }
 
 // Sends `frame` one byte every `interval` from a background thread until
 // stopped — a peer that is alive but trickling below any useful rate.
 struct Trickler {
-  Trickler(TcpTransport& t, std::vector<std::uint8_t> frame,
-           std::chrono::milliseconds interval)
+  Trickler(Transport& t, std::vector<std::uint8_t> frame, std::chrono::milliseconds interval)
       : transport(t), bytes(std::move(frame)) {
     thread = std::thread([this, interval] {
       for (std::size_t i = 0; i < bytes.size() && !stop.load(); ++i) {
@@ -148,64 +210,61 @@ struct Trickler {
     stop.store(true);
     thread.join();
   }
-  TcpTransport& transport;
+  Transport& transport;
   std::vector<std::uint8_t> bytes;
   std::atomic<bool> stop{false};
   std::thread thread;
 };
 
-TEST(Transport, TricklingHeaderCannotStallRecvPastItsDeadline) {
+TYPED_TEST(CarrierContract, TricklingHeaderCannotStallRecvPastItsDeadline) {
   // Regression: read_fully used to restart the full timeout on every poll()
   // that saw a byte, so a peer dribbling one byte per window kept recv()
   // blocked indefinitely. The deadline must cap the WHOLE receive.
-  LoopbackPair pair;
   std::vector<std::uint8_t> payload(256, 0x5a);
-  auto frame = encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
-  Trickler trickler(pair.client, std::move(frame), std::chrono::milliseconds(20));
+  auto frame = encode_frame(repl::FrameKind::kRedoBatch, 1, payload.data(), payload.size());
+  Trickler trickler(this->tx(), std::move(frame), std::chrono::milliseconds(20));
   const auto t0 = std::chrono::steady_clock::now();
-  auto msg = pair.server.recv(150);
+  auto got = this->rx().recv(150);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TransportError::kTimeout);
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(this->rx().last_error(), repl::LinkError::kTimeout);
   // Pre-fix behavior would sit through ~280 polls x 20ms (several seconds);
   // the budget is 150ms, so even a loaded CI box stays well under a second.
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1'000);
 }
 
-TEST(Transport, RecvDeadlineSpansHeaderAndPayload) {
+TYPED_TEST(CarrierContract, RecvDeadlineSpansHeaderAndPayload) {
   // The header arriving promptly must not grant the payload a fresh budget:
   // one deadline covers the whole frame.
-  LoopbackPair pair;
   std::vector<std::uint8_t> payload(256, 0xc3);
-  auto frame = encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
+  auto frame = encode_frame(repl::FrameKind::kRedoBatch, 1, payload.data(), payload.size());
   constexpr std::size_t kHeader = sizeof(FrameHeader);
-  ASSERT_TRUE(pair.client.send_bytes(frame.data(), kHeader));  // header at once
+  ASSERT_TRUE(this->tx().send_bytes(frame.data(), kHeader));  // header at once
   std::vector<std::uint8_t> rest(frame.begin() + kHeader, frame.end());
-  Trickler trickler(pair.client, std::move(rest), std::chrono::milliseconds(20));
+  Trickler trickler(this->tx(), std::move(rest), std::chrono::milliseconds(20));
   const auto t0 = std::chrono::steady_clock::now();
-  auto msg = pair.server.recv(150);
+  auto got = this->rx().recv(150);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_FALSE(msg.has_value());
-  EXPECT_EQ(pair.server.last_error(), TransportError::kTimeout);
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(this->rx().last_error(), repl::LinkError::kTimeout);
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1'000);
 }
 
-TEST(Transport, SlowButSteadyPeerStillCompletesWithinDeadline) {
+TYPED_TEST(CarrierContract, SlowButSteadyPeerStillCompletesWithinDeadline) {
   // The overall deadline must not break a legitimate multi-read receive:
   // a frame delivered in a few chunks well inside the budget goes through.
-  LoopbackPair pair;
   std::vector<std::uint8_t> payload(4096, 0x11);
-  auto frame = encode_frame(MsgType::kRedoBatch, 1, payload.data(), payload.size());
+  auto frame = encode_frame(repl::FrameKind::kRedoBatch, 1, payload.data(), payload.size());
   std::thread chunked([&] {
     const std::size_t half = frame.size() / 2;
-    ASSERT_TRUE(pair.client.send_bytes(frame.data(), half));
+    ASSERT_TRUE(this->tx().send_bytes(frame.data(), half));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ASSERT_TRUE(pair.client.send_bytes(frame.data() + half, frame.size() - half));
+    ASSERT_TRUE(this->tx().send_bytes(frame.data() + half, frame.size() - half));
   });
-  auto msg = pair.server.recv(2'000);
+  auto got = this->rx().recv(2'000);
   chunked.join();
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->payload.size(), payload.size());
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->payload.size(), payload.size());
 }
 
 // ---- accept_peer / connect_to deadline semantics ---------------------------
@@ -252,7 +311,7 @@ TEST(Transport, SignalInterruptedAcceptStillAcceptsThePeer) {
   connector.join();
   EXPECT_TRUE(accepted) << "EINTR misclassified as timeout or failure";
   EXPECT_TRUE(client_ok);
-  EXPECT_EQ(server.last_error(), TransportError::kNone);
+  EXPECT_EQ(server.last_error(), repl::LinkError::kNone);
 }
 
 TEST(Transport, SignalInterruptedAcceptStillHonorsItsDeadline) {
@@ -278,7 +337,7 @@ TEST(Transport, SignalInterruptedAcceptStillHonorsItsDeadline) {
   stop.store(true);
   pepper.join();
   EXPECT_FALSE(accepted);
-  EXPECT_EQ(server.last_error(), TransportError::kTimeout);
+  EXPECT_EQ(server.last_error(), repl::LinkError::kTimeout);
   EXPECT_GE(elapsed, 140) << "an EINTR must not be reported as a timeout early";
   EXPECT_LT(elapsed, 2'000) << "the retry must not restart the budget";
 }
@@ -301,7 +360,7 @@ TEST(Transport, ConnectToNeverListeningPeerTimesOutOnSchedule) {
                            std::chrono::steady_clock::now() - t0)
                            .count();
   EXPECT_FALSE(connected);
-  EXPECT_EQ(client.last_error(), TransportError::kTimeout);
+  EXPECT_EQ(client.last_error(), repl::LinkError::kTimeout);
   EXPECT_GE(elapsed, 250) << "gave up before the budget was spent";
   EXPECT_LT(elapsed, 2'000) << "overshot a 300ms budget";
 }
@@ -331,7 +390,7 @@ TEST(Transport, ConnectToUnresponsivePeerHonorsDeadline) {
                            std::chrono::steady_clock::now() - t0)
                            .count();
   EXPECT_FALSE(connected);
-  EXPECT_EQ(client.last_error(), TransportError::kTimeout);
+  EXPECT_EQ(client.last_error(), repl::LinkError::kTimeout);
   EXPECT_GE(elapsed, 250) << "gave up before the budget was spent";
   EXPECT_LT(elapsed, 5'000) << "a swallowed SYN must not hold connect_to past its budget";
 }
@@ -343,24 +402,24 @@ TEST(TransportDeathTest, SendRefusesPayloadAboveFrameBound) {
   // receiver. The bound is CHECKed before any socket state, so no peer is
   // needed and the payload pointer is never dereferenced.
   TcpTransport transport;
-  EXPECT_DEATH(transport.send(MsgType::kDbChunk, 1, nullptr, kMaxFramePayload + 1),
+  EXPECT_DEATH(transport.send(repl::FrameKind::kDbChunk, 1, nullptr, kMaxFramePayload + 1),
                "len <= kMaxFramePayload");
 }
 
 TEST(TransportDeathTest, EncodeFrameRefusesPayloadAboveFrameBound) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(encode_frame(MsgType::kDbChunk, 1, nullptr, kMaxFramePayload + 1),
+  EXPECT_DEATH(encode_frame(repl::FrameKind::kDbChunk, 1, nullptr, kMaxFramePayload + 1),
                "len <= kMaxFramePayload");
 }
 
 TEST(WireRepl, BackupTracksPrimaryOverTcp) {
-  LoopbackPair pair;
+  TcpPair pair;
   core::StoreConfig config;
   config.db_size = 256 * 1024;
 
   rio::Arena primary_arena =
       rio::Arena::create(core::required_arena_size(core::VersionKind::kV3InlineLog, config));
-  WirePrimary primary(primary_arena, config, &pair.client, /*format=*/true);
+  WirePrimary primary(primary_arena, config, &pair.tx, /*format=*/true);
   // 2-safe: every commit waits for the backup's ack, so the abrupt close
   // below cannot strand in-flight redo. 1-safe is *documented* to lose
   // trailing transactions on a primary crash — with it this test only passed
@@ -371,7 +430,7 @@ TEST(WireRepl, BackupTracksPrimaryOverTcp) {
   WireBackup backup(backup_arena);
   std::thread backup_thread([&] {
     // Serve until the primary closes (test end) or goes silent.
-    backup.serve(pair.server, 2000);
+    backup.serve(pair.rx, 2000);
   });
 
   ASSERT_TRUE(primary.sync_backup());
@@ -384,7 +443,7 @@ TEST(WireRepl, BackupTracksPrimaryOverTcp) {
     primary.bus().write(primary.db() + off, &v, 8, sim::TrafficClass::kModified);
     primary.commit_transaction();
   }
-  pair.client.close_peer();  // "primary crashes"
+  pair.tx.close_peer();  // "primary crashes"
   backup_thread.join();
 
   EXPECT_EQ(backup.applied_seq(), 200u);
@@ -405,15 +464,15 @@ TEST(WireRepl, BackupTracksPrimaryOverTcp) {
 }
 
 TEST(WireRepl, AbortedTransactionsNeverReachTheBackup) {
-  LoopbackPair pair;
+  TcpPair pair;
   core::StoreConfig config;
   config.db_size = 64 * 1024;
   rio::Arena primary_arena =
       rio::Arena::create(core::required_arena_size(core::VersionKind::kV3InlineLog, config));
-  WirePrimary primary(primary_arena, config, &pair.client, true);
+  WirePrimary primary(primary_arena, config, &pair.tx, true);
   rio::Arena backup_arena = rio::Arena::create(config.db_size);
   WireBackup backup(backup_arena);
-  std::thread backup_thread([&] { backup.serve(pair.server, 2000); });
+  std::thread backup_thread([&] { backup.serve(pair.rx, 2000); });
 
   ASSERT_TRUE(primary.sync_backup());
   primary.begin_transaction();
@@ -428,7 +487,7 @@ TEST(WireRepl, AbortedTransactionsNeverReachTheBackup) {
   primary.bus().write(primary.db() + 100, &v, 8, sim::TrafficClass::kModified);
   primary.commit_transaction();
 
-  pair.client.close_peer();
+  pair.tx.close_peer();
   backup_thread.join();
   EXPECT_EQ(backup.applied_seq(), 1u);
   EXPECT_EQ(std::memcmp(backup.db(), primary.db(), config.db_size), 0);

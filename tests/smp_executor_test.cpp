@@ -11,7 +11,6 @@
 
 #include "exec/smp_executor.hpp"
 #include "net/inproc_transport.hpp"
-#include "net/transport_link.hpp"
 #include "net/wire_repl.hpp"
 #include "util/crc32.hpp"
 
@@ -22,7 +21,6 @@ namespace {
 // the 2-safe ack path runs against live worker/sequencer traffic.
 struct BackupHarness {
   net::InprocTransport primary_end, backup_end;
-  net::TransportLink link{&primary_end};
   rio::Arena arena;
   std::unique_ptr<net::WireBackup> backup;
   std::thread thread;
@@ -67,7 +65,7 @@ TEST(SmpExecutor, SingleWorkerBackupConverges) {
   config.commit_window = 8;
   config.group_size = 4;
   BackupHarness harness;
-  SmpExecutor executor(config, &harness.link);
+  SmpExecutor executor(config, &harness.primary_end);
   harness.start(executor.image_size());
   ASSERT_TRUE(executor.sync_backup());
   const auto result = executor.run();
@@ -93,7 +91,7 @@ TEST(SmpExecutor, RaceHammerContendedWorkersConverge) {
   config.commit_window = 8;
   config.group_size = 4;
   BackupHarness harness;
-  SmpExecutor executor(config, &harness.link);
+  SmpExecutor executor(config, &harness.primary_end);
   harness.start(executor.image_size());
   ASSERT_TRUE(executor.sync_backup());
   const auto result = executor.run();
@@ -113,7 +111,7 @@ TEST(SmpExecutor, OrderEntryWorkloadConverges) {
   config.commit_window = 8;
   config.group_size = 4;
   BackupHarness harness;
-  SmpExecutor executor(config, &harness.link);
+  SmpExecutor executor(config, &harness.primary_end);
   harness.start(executor.image_size());
   ASSERT_TRUE(executor.sync_backup());
   const auto result = executor.run();
@@ -151,7 +149,7 @@ TEST(SmpExecutor, TinyQueueBackpressureIsLossless) {
   BackupHarness harness;
   SmpConfig replicated = config;
   replicated.two_safe = true;
-  SmpExecutor executor(replicated, &harness.link);
+  SmpExecutor executor(replicated, &harness.primary_end);
   harness.start(executor.image_size());
   ASSERT_TRUE(executor.sync_backup());
   const auto result = executor.run();
